@@ -36,7 +36,13 @@ from .monodromy import (
     make_loop,
     monodromy_permutation,
 )
-from .pieri import CountMismatchError, MasterSet, solve_master, verify_master
+from .pieri import (
+    CountMismatchError,
+    MasterSet,
+    MasterVerificationError,
+    solve_master,
+    verify_master,
+)
 from .rng import Lcg64
 from .schubert import (
     ProblemInstance,
@@ -385,6 +391,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (
         CountMismatchError,
+        MasterVerificationError,
         PathCollisionError,
         MatchAmbiguityError,
         NotBijectiveError,

@@ -1,13 +1,22 @@
 """Dense complex linear algebra for small stacked-determinant systems.
 
-Everything routes through LAPACK via numpy; matrices are tiny (n rarely
-above 12) but evaluations are numerous, so the batched (..., n, n)
-entry points matter more than any single factorization.  The one
-non-routine operation is cofactor extraction: the derivative of det(A)
-with respect to entry (r, c) is the (r, c) cofactor, and determinantal
-systems are evaluated at points where A is singular by construction, so
-cofactors cannot be read off det(A) * inv(A).  Cofactors along row r do
-not involve row r, so that row is replaced by a generic probe first.
+Everything routes through LAPACK via numpy; matrices are tiny (k rarely
+above 5) but evaluations are numerous, so the batched (..., k, k) entry
+points matter more than any single factorization.  Two operations are
+not routine:
+
+* kernel_basis reduces a determinant with fixed bottom rows to a small
+  one: det [E over G] = det(E K) for a suitably scaled kernel basis K
+  of G, whatever the top rows E.
+* Cofactors: the derivative of det(A) with respect to entry (r, c) is
+  the (r, c) cofactor, and determinantal systems are evaluated at
+  points where A is singular by construction, so cofactors cannot be
+  read off det(A) * inv(A).  They are computed as signed determinants
+  of the (k-1) x (k-1) minors, which is exact at singular A and needs
+  no special case for k = 1 (an empty minor has determinant 1).
+
+Every batched routine treats each matrix of a stack on its own, so a
+result does not depend on what else shares its batch.
 """
 
 from __future__ import annotations
@@ -15,12 +24,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-
-from .rng import Lcg64
-
-# Determinants of probed matrices below this fraction of the Hadamard
-# row-norm bound are treated as singular probes.
-PROBE_DET_REL_TOL = 1e-12
 
 
 class SingularMatrixError(ValueError):
@@ -57,57 +60,6 @@ def det(a: np.ndarray) -> complex:
     return complex(np.linalg.det(a))
 
 
-def _unit(n: int, r: int) -> np.ndarray:
-    e = np.zeros(n, dtype=complex)
-    e[r] = 1.0
-    return e
-
-
-@functools.lru_cache(maxsize=None)
-def _unit_probe(n: int, r: int, attempt: int) -> np.ndarray:
-    """Deterministic pseudo-random replacement row, unit scale, frozen."""
-    gen = Lcg64((r + 1) * 0x9E3779B97F4A7C15 + attempt * 0x2545F4914F6CDD1D)
-    row = np.array([gen.complex_entry() for _ in range(n)])
-    row.setflags(write=False)
-    return row
-
-
-def _probe_row(n: int, r: int, attempt: int, scale: float) -> np.ndarray:
-    return scale * _unit_probe(n, r, attempt)
-
-
-def _hadamard_bound(a: np.ndarray) -> np.ndarray:
-    """Product of row 2-norms, the natural scale of det over the last
-    two axes; floored at the smallest positive normal to keep relative
-    tests meaningful for zero rows."""
-    norms = np.linalg.norm(a, axis=-1)
-    return np.maximum(np.prod(norms, axis=-1), np.finfo(float).tiny)
-
-
-def _cofactor_row(a: np.ndarray, r: int) -> np.ndarray:
-    """All cofactors along row r, valid even when a itself is singular.
-
-    The row is replaced by a generic probe and the cofactors read off
-    the adjugate of the probed matrix.  When two probes both leave the
-    determinant at noise level the other rows are rank deficient and
-    every cofactor in the row vanishes.
-    """
-    n = a.shape[0]
-    amax = float(np.max(np.abs(a))) or 1.0
-    for attempt in range(2):
-        b = np.array(a, dtype=complex)
-        b[r] = _probe_row(n, r, attempt, amax)
-        db = complex(np.linalg.det(b))
-        if abs(db) < PROBE_DET_REL_TOL * float(_hadamard_bound(b)):
-            continue
-        try:
-            z = np.linalg.solve(b, _unit(n, r))
-        except np.linalg.LinAlgError:
-            continue
-        return db * z
-    return np.zeros(n, dtype=complex)
-
-
 def det_with_gradient(a: np.ndarray, positions) -> tuple[complex, list[complex]]:
     """Determinant of a and its partial derivatives at the given cells.
 
@@ -122,9 +74,9 @@ def det_with_gradient(a: np.ndarray, positions) -> tuple[complex, list[complex]]
     for r, c in positions:
         if not (0 <= r < n and 0 <= c < n):
             raise ValueError(f"position ({r}, {c}) outside a {n}x{n} matrix")
-    dval = complex(np.linalg.det(a)) if n else 1.0
-    cof = {r: _cofactor_row(a, r) for r in {r for r, _ in positions}}
-    return dval, [cof[r][c] for r, c in positions]
+    rows = sorted({r for r, _ in positions})
+    cof = dict(zip(rows, batched_rows_cofactors(a, rows)))
+    return complex(np.linalg.det(a)), [complex(cof[r][c]) for r, c in positions]
 
 
 def echelon_pivots(a: np.ndarray) -> np.ndarray:
@@ -150,14 +102,65 @@ def echelon_pivots(a: np.ndarray) -> np.ndarray:
     return np.array(pivots)
 
 
+def kernel_basis(g: np.ndarray) -> np.ndarray:
+    """A basis K (n x k) of the kernel of the full-rank q x n matrix g,
+    k = n - q, scaled so that det [e over g] = det(e K) for every k x n e.
+
+    With g's columns split into q pivot columns A, chosen by complete
+    pivoting, and the other k columns B, K is -g_A^-1 g_B on A and the
+    identity on B.  Since [e over g] [I, -g_A^-1 g_B; 0, I] (columns
+    ordered A then B) has a zero lower-right block,
+    det [e over g] = sign * (-1)^(kq) det(g_A) det(e K), with sign the
+    parity of the column order (A, B); that factor is folded into K's
+    first column.
+    """
+    g = np.asarray(g, dtype=complex)
+    q, n = g.shape
+    a = g.copy()
+    order = np.arange(n)
+    for r in range(q):
+        i, j = np.unravel_index(np.argmax(np.abs(a[r:, r:])), (q - r, n - r))
+        a[[r, r + i]] = a[[r + i, r]]
+        a[:, [r, r + j]] = a[:, [r + j, r]]
+        order[[r, r + j]] = order[[r + j, r]]
+        a[r + 1 :, r:] -= np.outer(a[r + 1 :, r] / a[r, r], a[r, r:])
+    # sorted() rather than np.sort: numpy's sort kernels are not loaded
+    # anywhere else on the solve path and would cost resident memory
+    cols_a, cols_b = sorted(order[:q].tolist()), sorted(order[q:].tolist())
+    g_a = g[:, cols_a]
+    basis = np.zeros((n, n - q), dtype=complex)
+    basis[cols_a] = -np.linalg.solve(g_a, g[:, cols_b])
+    basis[cols_b] = np.eye(n - q)
+    inversions = sum(b < a for a in cols_a for b in cols_b)
+    basis[:, 0] *= (-1) ** (q * (n - q) + inversions) * np.linalg.det(g_a)
+    return basis
+
+
 # ----------------------------------------------------------------- batched
-# Hot-path variants over a stack of matrices sharing shape (m, n, n).
-# One probed solve and one determinant sweep cover every requested row
-# of every matrix; rare degenerate probes fall back to the scalar path.
+# Hot-path variants over a stack of matrices sharing shape (..., k, k).
 
 
 def batched_det(stacks: np.ndarray) -> np.ndarray:
     return np.linalg.det(stacks)
+
+
+@functools.lru_cache(maxsize=256)
+def _minor_index(n: int, rows: tuple[int, ...]):
+    """Gather indices of every (n-1) x (n-1) minor along the given rows
+    of an n x n matrix, shaped (len(rows), n, n-1, n-1) after
+    broadcasting, and the cofactor signs (len(rows), n); frozen, since
+    the cache hands the same arrays to every caller."""
+    r = np.array(rows, dtype=int)
+    c = np.arange(n)
+    t = np.arange(n - 1)  # t + (t >= j) runs over range(n) without j
+    out = (
+        (t + (t >= r[:, None]))[:, None, :, None],
+        (t + (t >= c[:, None]))[None, :, None, :],
+        1 - 2 * ((r[:, None] + c) % 2),
+    )
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def batched_rows_cofactors(stacks: np.ndarray, rows) -> np.ndarray:
@@ -165,29 +168,10 @@ def batched_rows_cofactors(stacks: np.ndarray, rows) -> np.ndarray:
 
     stacks has shape (..., n, n); the result has shape (len(rows), ..., n)
     with result[i, ...] the cofactors of stacks[...] along row rows[i].
+    One gather builds every (n-1) x (n-1) minor the rows need and one
+    batched determinant evaluates them all.
     """
-    lead = stacks.shape[:-2]
-    n = stacks.shape[-1]
-    rows = list(rows)
-    nr = len(rows)
-    if nr == 0 or 0 in lead:
-        return np.zeros((nr, *lead, n), dtype=complex)
-    amax = float(np.max(np.abs(stacks))) or 1.0
-    big = np.broadcast_to(stacks, (nr, *lead, n, n)).copy()
-    rhs = np.zeros((nr, *(1,) * len(lead), n, 1), dtype=complex)
-    for i, r in enumerate(rows):
-        big[i, ..., r, :] = _probe_row(n, r, 0, amax)
-        rhs[(i, *(0,) * len(lead), r, 0)] = 1.0
-    try:
-        z = np.linalg.solve(big, rhs)[..., 0]
-        db = np.linalg.det(big)
-        cof = db[..., None] * z
-        bad = (np.abs(db) < PROBE_DET_REL_TOL * _hadamard_bound(big)) | ~np.all(
-            np.isfinite(cof.view(float)), axis=-1
-        )
-    except np.linalg.LinAlgError:
-        cof = np.empty((nr, *lead, n), dtype=complex)
-        bad = np.ones((nr, *lead), dtype=bool)
-    for w in np.argwhere(bad):
-        cof[tuple(w)] = _cofactor_row(stacks[tuple(w[1:])], rows[w[0]])
-    return cof
+    keep_rows, keep_cols, sign = _minor_index(stacks.shape[-1], tuple(int(r) for r in rows))
+    cof = sign * np.linalg.det(stacks[..., keep_rows, keep_cols])
+    nd = cof.ndim
+    return cof.transpose(nd - 2, *range(nd - 2), nd - 1)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import GroupVerdict, as_permutation, is_full_symmetric
-from .pieri import MasterSet, verify_master
+from .pieri import MasterSet, MasterVerificationError, verify_master
 from .rng import Lcg64
 from .schubert import ProblemInstance, chart
 from .tracker import (
@@ -228,7 +228,7 @@ def accumulate(
     d = len(master.solutions)
     report = verify_master(master)
     if not report.ok:
-        raise ValueError(f"master set failed verification: {report.issues}")
+        raise MasterVerificationError(f"master set failed verification: {report.issues}")
     if d <= 1:
         verdict = is_full_symmetric([], d)
         return GaloisResult("FullSymmetric", verdict, [], [])

@@ -22,6 +22,7 @@ from .schubert import (
     Partition,
     ProblemInstance,
     SkewChart,
+    StackedSystem,
     chart,
     children,
     count_solutions,
@@ -34,13 +35,18 @@ from .tracker import (
     PathCollisionError,
     TrackOptions,
     fresh_gamma,
-    refine,
+    refine_many,
     track_all,
 )
 
 
 class CountMismatchError(RuntimeError):
     """A recursion node did not produce its expected number of solutions."""
+
+
+class MasterVerificationError(ValueError):
+    """A master set failed its independent re-check.  A ValueError, as the
+    set is the rejected argument, but a numerical failure to the CLI."""
 
 
 @dataclass(frozen=True)
@@ -178,7 +184,7 @@ def _solve_once(instance, opts, gen, stats) -> MasterSet:
             planes[mv - 1],
             fresh_gamma(gen),
         )
-        starts = [refine(h, s, 0.0, opts.newton_tol) for s in starts]
+        starts = list(refine_many(h, starts, 0.0, opts.newton_tol)[0])
         results = track_all(h, starts, opts, gen)
         sols = [r.endpoint for r in results if r.success]
         node_stats.append(
@@ -198,35 +204,33 @@ def _solve_once(instance, opts, gen, stats) -> MasterSet:
     if stats is not None:
         stats["nodes"] = node_stats
         stats["max_depth"] = max((s["depth"] for s in node_stats), default=0)
-    residual_max = 0.0
-    if problem.num_moving > 0 and roots:
-        from .schubert import StackedSystem
-
-        system = StackedSystem(chart(problem), list(planes))
-        residual_max = max(float(np.max(np.abs(system.values(x)))) for x in roots)
+    residual_max = float(np.max(_residuals(instance, roots), initial=0.0))
     return MasterSet(instance, roots, residual_max)
+
+
+def _residuals(instance: ProblemInstance, points) -> np.ndarray:
+    """Largest equation residual at each point, in one batched evaluation."""
+    problem = instance.problem
+    if problem.num_moving == 0 or not len(points):
+        return np.zeros(len(points))
+    system = StackedSystem(chart(problem), list(instance.planes))
+    return np.max(np.abs(system.values_many(points)), axis=1)
 
 
 def verify_master(master: MasterSet, instance: ProblemInstance | None = None) -> VerifyReport:
     """Independent re-check of a master set against its instance.
 
-    Recomputes residuals with eval_system, measures pairwise separation
-    and compares the count against the exact recursion count.
+    Recomputes residuals, measures pairwise separation and compares the
+    count against the exact recursion count.
     """
     instance = instance or master.instance
-    problem = instance.problem
-    expected = count_solutions(problem)
+    expected = count_solutions(instance.problem)
     issues: list[str] = []
-    residual_max = 0.0
-    if problem.num_moving > 0 and master.solutions:
-        from .schubert import StackedSystem
-
-        system = StackedSystem(chart(problem), list(instance.planes))
-        for i, x in enumerate(master.solutions):
-            r = float(np.max(np.abs(system.values(x))))
-            residual_max = max(residual_max, r)
-            if r >= 1e-8:
-                issues.append(f"solution {i} residual {r:.3e}")
+    residuals = _residuals(instance, master.solutions)
+    residual_max = float(np.max(residuals, initial=0.0))
+    for i, r in enumerate(residuals):
+        if r >= 1e-8:
+            issues.append(f"solution {i} residual {r:.3e}")
     min_sep = np.inf
     sols = master.solutions
     for i in range(len(sols)):

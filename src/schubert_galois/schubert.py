@@ -262,52 +262,53 @@ def random_instance(
 class StackedSystem:
     """Evaluator for the determinants det [E(x) over G_j] and their gradients.
 
-    The planes are fixed at construction; each evaluation writes the
-    chart coordinates into a prebuilt (num_planes, n, n) stack and runs
-    batched determinant and cofactor extraction over it.
+    Each n x n determinant is evaluated as a k x k one: with K_j the
+    scaled kernel basis of G_j (linalg.kernel_basis),
+
+        det [E(x) over G_j] = det M_j(x),    M_j(x) = E(x) K_j,
+
+    and M_j is affine in x, M_j(x) = E0 K_j + sum_v x_v A_vj where A_vj
+    holds row j_v of K_j in row i_v, for the variable v at chart cell
+    (i_v, j_v).  So dM_j/dx_v = A_vj and the Jacobian entry is
+    sum_(i,l) cof(M_j)[i, l] A_vj[i, l].  The planes are fixed at
+    construction.  Every point of a batch is evaluated on its own: a row
+    of a batched result is bit-identical to evaluating that point alone.
     """
 
     def __init__(self, chart_: SkewChart, planes):
         self.chart = chart_
-        k, n = chart_.problem.k, chart_.problem.n
-        planes = [np.asarray(g, dtype=complex) for g in planes]
-        base = np.zeros((len(planes), n, n), dtype=complex)
-        for i, c in enumerate(chart_.one_cols):
-            base[:, i, c] = 1.0
-        for j, g in enumerate(planes):
-            base[j, k:, :] = g
-        self._base = base
-        self._rows = np.array([i for i, _ in chart_.var_cells], dtype=int)
-        self._cols = np.array([j for _, j in chart_.var_cells], dtype=int)
-        # var indices grouped by chart row, for cofactor extraction
-        by_row = [np.flatnonzero(self._rows == r) for r in range(k)]
-        self._active_rows = [r for r in range(k) if len(by_row[r])]
-        self._active_vars = [by_row[r] for r in self._active_rows]
+        k = chart_.problem.k
+        kernels = np.array(
+            [linalg.kernel_basis(g) for g in planes], dtype=complex
+        ).reshape(len(planes), chart_.problem.n, k)
+        self._base = kernels[:, list(chart_.one_cols), :]
+        slopes = np.zeros((chart_.num_vars, len(planes), k, k), dtype=complex)
+        for v, (i, j) in enumerate(chart_.var_cells):
+            slopes[v, :, i] = kernels[:, j]
+        self._slopes = slopes
+        # cofactor rows are needed only where the chart has variables
+        self._active_rows = sorted({i for i, _ in chart_.var_cells})
+        self._active_slopes = slopes[:, :, self._active_rows]
 
     @property
     def num_equations(self) -> int:
         return self._base.shape[0]
 
-    def stacks(self, x) -> np.ndarray:
-        a = self._base.copy()
-        if len(self._rows):
-            a[:, self._rows, self._cols] = np.asarray(x, dtype=complex)
-        return a
+    def _matrices(self, xs) -> np.ndarray:
+        """The k x k matrices M_j for a batch of points: (p, num_planes, k, k).
 
-    def stacks_many(self, xs) -> np.ndarray:
-        """Stacks for a batch of points: (p, num_planes, n, n)."""
+        einsum without optimize never routes through BLAS, whose kernels
+        would make a row's rounding depend on the batch size.
+        """
         xs = np.asarray(xs, dtype=complex)
-        a = np.broadcast_to(self._base, (xs.shape[0], *self._base.shape)).copy()
-        if len(self._rows):
-            a[:, :, self._rows, self._cols] = xs[:, None, :]
-        return a
+        return self._base + np.einsum("pv,vjab->pjab", xs, self._slopes)
 
     def values(self, x) -> np.ndarray:
-        return linalg.batched_det(self.stacks(x))
+        return self.values_many(np.asarray(x, dtype=complex)[None])[0]
 
     def values_many(self, xs) -> np.ndarray:
         """Determinant values for a batch of points, shape (p, num_planes)."""
-        return linalg.batched_det(self.stacks_many(xs))
+        return linalg.batched_det(self._matrices(xs))
 
     def values_and_jacobian(self, x) -> tuple[np.ndarray, np.ndarray]:
         vals, jac = self.values_and_jacobian_many(np.asarray(x, dtype=complex)[None])
@@ -315,14 +316,10 @@ class StackedSystem:
 
     def values_and_jacobian_many(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Batched values (p, num_planes) and Jacobians (p, num_planes, nv)."""
-        a = self.stacks_many(xs)
-        vals = linalg.batched_det(a)
-        p = a.shape[0]
-        jac = np.empty((p, self.num_equations, len(self._rows)), dtype=complex)
-        cof = linalg.batched_rows_cofactors(a, self._active_rows)
-        for i, idx in enumerate(self._active_vars):
-            jac[:, :, idx] = cof[i][:, :, self._cols[idx]]
-        return vals, jac
+        m = self._matrices(xs)
+        cof = linalg.batched_rows_cofactors(m, self._active_rows)
+        jac = np.einsum("rpjl,vjrl->pjv", cof, self._active_slopes)
+        return linalg.batched_det(m), jac
 
 
 def eval_system(chart_: SkewChart, planes, x) -> tuple[np.ndarray, np.ndarray]:

@@ -188,6 +188,24 @@ class TestGalois:
         assert verdict["status"] == "Inconclusive"
         assert verdict["group"]["status"] in ("ProperSubgroupEvidence", "Unknown")
 
+    def test_failed_master_verification_is_a_numerical_failure(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a solver result that fails the independent re-check exits 3,
+        # not 2: the input was fine, the numerics were not
+        real = cli.solve_master
+
+        def corrupted(instance, opts=None):
+            master = real(instance, opts)
+            master.solutions[0] = master.solutions[0] + 1e-3
+            return master
+
+        monkeypatch.setattr(cli, "solve_master", corrupted)
+        spec = write_spec(tmp_path, k=2, n=4, seed=21)
+        code = cli.main(["galois", str(spec), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "failed verification" in capsys.readouterr().err
+
     def test_strategy_and_loops_come_from_spec_options(self, tmp_path, capsys):
         spec = write_spec(
             tmp_path, k=2, n=4, seed=1,

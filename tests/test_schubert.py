@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from schubert_galois import linalg
+from schubert_galois import linalg, solve_master
 from schubert_galois.rng import Lcg64
 from schubert_galois.schubert import (
     EmptyProblemError,
@@ -31,6 +31,12 @@ from schubert_galois.schubert import (
 
 def random_coords(gen, num):
     return np.array([gen.complex_entry() for _ in range(num)])
+
+
+def stacked_cofactor(a, r, c):
+    """Signed (r, c) minor of a square matrix, the slow way."""
+    minor = np.delete(np.delete(a, r, axis=0), c, axis=1)
+    return (-1) ** (r + c) * np.linalg.det(minor)
 
 
 class TestPartitions:
@@ -252,6 +258,60 @@ class TestStackedSystem:
             v1, j1 = system.values_and_jacobian(xs[i])
             assert np.allclose(vals[i], v1, rtol=1e-13, atol=0)
             assert np.allclose(jac[i], j1, rtol=1e-13, atol=0)
+
+
+class TestSmallDeterminants:
+    """The k x k evaluation against the n x n determinants it replaces."""
+
+    # one problem per k with a small master set; the named conditions
+    # leave some chart rows without variables
+    CASES = [
+        (1, 3, (), ()),
+        (2, 4, (1,), (1,)),
+        (3, 5, (2,), (1,)),
+        (4, 6, (2, 1), (1, 1)),
+        (5, 7, (2, 2), (2, 1)),
+    ]
+
+    @pytest.mark.parametrize("k,n,lam,mu", CASES)
+    def test_values_and_jacobian_match_stacked_determinants(self, k, n, lam, mu):
+        p = SimpleSchubertProblem(k, n, lam, mu)
+        ch = chart(p)
+        instance = random_instance(p, 40 + k)
+        master = solve_master(instance)
+        assert len(master.solutions) == count_solutions(p)
+        system = StackedSystem(ch, instance.planes)
+        gen = Lcg64(50 + k)
+        # at master solutions every k x k matrix is singular
+        points = list(master.solutions) + [random_coords(gen, ch.num_vars) for _ in range(3)]
+        for x in points:
+            vals, jac = system.values_and_jacobian(x)
+            e = ch.instantiate(x)
+            for j, g in enumerate(instance.planes):
+                stacked = np.vstack([e, g])
+                want = [stacked_cofactor(stacked, r, c) for r, c in ch.var_cells]
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert abs(vals[j] - np.linalg.det(stacked)) < 1e-12 * scale
+                assert np.max(np.abs(jac[j] - want)) < 1e-12 * scale
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_batched_rows_are_bit_identical_to_single_points(self, k):
+        gen = Lcg64(60 + k)
+        p = SimpleSchubertProblem(k, k + 2, (), ())
+        ch = chart(p)
+        planes = [gen.complex_matrix(2, k + 2) for _ in range(p.num_moving + 1)]
+        system = StackedSystem(ch, planes)
+        xs = np.array([random_coords(gen, ch.num_vars) for _ in range(42)])
+        alone = [system.values_and_jacobian_many(xs[i : i + 1]) for i in range(42)]
+        want_vals = np.concatenate([v for v, _ in alone])
+        want_jac = np.concatenate([j for _, j in alone])
+        for size in (1, 3, 42):
+            for lo in range(0, 42, size):
+                chunk = xs[lo : lo + size]
+                vals, jac = system.values_and_jacobian_many(chunk)
+                assert np.array_equal(vals, want_vals[lo : lo + size])
+                assert np.array_equal(jac, want_jac[lo : lo + size])
+                assert np.array_equal(system.values_many(chunk), vals)
 
 
 class TestInstances:

@@ -101,7 +101,7 @@ class TestTrackPath:
         # an unsatisfiable residual gate forces reject-and-halve until
         # the step size drops through the floor
         h = line_homotopy([1.0, -1.0], [1.0, 2.0])
-        opts = TrackOptions(residual_tol=1e-300)
+        opts = TrackOptions(residual_tol=0.0)
         result = track_path(h, np.array([-1.0 + 0j]), opts)
         assert result.status is TrackStatus.STEP_UNDERFLOW
         assert result.t_reached == 0.0
