@@ -12,7 +12,7 @@ from .schubert import (
     count_solutions,
     random_instance,
 )
-from .tracker import LinearHomotopy, TrackOptions, track_all, track_path
+from .tracker import LinearHomotopy, TrackOptions, track_all
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,6 @@ __all__ = [
     "random_instance",
     "solve_master",
     "track_all",
-    "track_path",
     "verify_master",
     "__version__",
 ]

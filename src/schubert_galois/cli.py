@@ -26,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import linalg
 from .monodromy import (
     STRATEGIES,
     MatchAmbiguityError,
@@ -41,9 +40,7 @@ from .pieri import (
     MasterSet,
     MasterVerificationError,
     solve_master,
-    verify_master,
 )
-from .rng import Lcg64
 from .schubert import (
     ProblemInstance,
     SimpleSchubertProblem,
@@ -63,15 +60,6 @@ class SpecError(ValueError):
     """Anything wrong with the user-supplied problem description."""
 
 
-def rng(seed: int) -> Lcg64:
-    """The deterministic 64-bit stream all randomness derives from.
-
-    Linear congruential: state' = 6364136223846793005 * state +
-    1442695040888963407 mod 2^64; uniforms take the top 53 bits.
-    """
-    return Lcg64(seed)
-
-
 @dataclasses.dataclass
 class RunSpec:
     """A parsed spec file with flag overrides already applied."""
@@ -84,6 +72,15 @@ class RunSpec:
     stem: str
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: bool is an int subclass in Python, but not here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 def _parse_partition(value, name: str) -> tuple[int, ...]:
     if value is None:
         return ()
@@ -91,9 +88,7 @@ def _parse_partition(value, name: str) -> tuple[int, ...]:
         if value.strip() in _BOX_WORDS:
             return (1,)
         raise SpecError(f'{name} must be a list of integers or "box"')
-    if isinstance(value, list) and all(
-        isinstance(p, int) and not isinstance(p, bool) for p in value
-    ):
+    if isinstance(value, list) and all(_is_int(p) for p in value):
         return tuple(value)
     raise SpecError(f'{name} must be a list of integers or "box"')
 
@@ -108,7 +103,7 @@ def load_spec(path: str, args: argparse.Namespace) -> RunSpec:
     if not isinstance(raw, dict):
         raise SpecError("spec file must hold a JSON object")
     for key in ("k", "n"):
-        if not isinstance(raw.get(key), int):
+        if not _is_int(raw.get(key)):
             raise SpecError(f'spec needs an integer "{key}"')
     try:
         problem = SimpleSchubertProblem(
@@ -129,7 +124,11 @@ def load_spec(path: str, args: argparse.Namespace) -> RunSpec:
             continue
         if key not in _TRACK_FIELDS:
             raise SpecError(f"unknown option {key!r}")
-        kwargs[key] = int(val) if key in _INT_TRACK_FIELDS else float(val)
+        if key in _INT_TRACK_FIELDS and not _is_int(val):
+            raise SpecError(f"option {key!r} must be an integer")
+        if not (_is_number(val) and abs(val) <= sys.float_info.max):
+            raise SpecError(f"option {key!r} must be a finite number")
+        kwargs[key] = val if key in _INT_TRACK_FIELDS else float(val)
     if getattr(args, "tol", None) is not None:
         kwargs["newton_tol"] = args.tol
     try:
@@ -138,7 +137,7 @@ def load_spec(path: str, args: argparse.Namespace) -> RunSpec:
         raise SpecError(str(e))
 
     seed = args.seed if getattr(args, "seed", None) is not None else raw.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise SpecError('"seed" must be an integer')
     strategy = getattr(args, "strategy", None) or options.get("strategy", "short")
     if strategy not in STRATEGIES:
@@ -148,19 +147,15 @@ def load_spec(path: str, args: argparse.Namespace) -> RunSpec:
         if getattr(args, "max_loops", None) is not None
         else options.get("max_loops", 50)
     )
-    if not isinstance(max_loops, int) or max_loops < 1:
+    if not _is_int(max_loops) or max_loops < 1:
         raise SpecError('"max_loops" must be a positive integer')
     return RunSpec(problem, seed, strategy, max_loops, track, Path(path).stem)
 
 
 def _parse_complex(v) -> complex:
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
+    if _is_number(v):
         return complex(v)
-    if (
-        isinstance(v, list)
-        and len(v) == 2
-        and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in v)
-    ):
+    if isinstance(v, list) and len(v) == 2 and all(_is_number(c) for c in v):
         return complex(v[0], v[1])
     raise SpecError(f"bad complex entry {v!r}: use a number or [re, im]")
 
@@ -395,7 +390,6 @@ def main(argv=None) -> int:
         PathCollisionError,
         MatchAmbiguityError,
         NotBijectiveError,
-        linalg.SingularMatrixError,
     ) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3

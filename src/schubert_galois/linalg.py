@@ -26,59 +26,6 @@ import functools
 import numpy as np
 
 
-class SingularMatrixError(ValueError):
-    """The solve hit a numerically singular matrix."""
-
-
-def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b for square complex a, raising SingularMatrixError
-    instead of returning garbage when a is numerically singular."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    n = a.shape[0]
-    if a.shape != (n, n) or b.shape != (n,):
-        raise ValueError(f"shape mismatch: a {a.shape}, b {b.shape}")
-    if n == 0:
-        return np.zeros(0, dtype=complex)
-    if float(np.max(np.abs(a))) == 0.0:
-        raise SingularMatrixError("zero matrix")
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError("exactly singular matrix")
-    if not np.all(np.isfinite(x.view(float))):
-        raise SingularMatrixError("solve overflowed")
-    return x
-
-
-def det(a: np.ndarray) -> complex:
-    """Determinant of a square complex matrix."""
-    a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"det needs a square matrix, got {a.shape}")
-    return complex(np.linalg.det(a))
-
-
-def det_with_gradient(a: np.ndarray, positions) -> tuple[complex, list[complex]]:
-    """Determinant of a and its partial derivatives at the given cells.
-
-    positions is a sequence of (row, col) pairs; the returned gradient
-    list is aligned with it.
-    """
-    a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"square matrix required, got {a.shape}")
-    positions = list(positions)
-    for r, c in positions:
-        if not (0 <= r < n and 0 <= c < n):
-            raise ValueError(f"position ({r}, {c}) outside a {n}x{n} matrix")
-    rows = sorted({r for r, _ in positions})
-    cof = dict(zip(rows, batched_rows_cofactors(a, rows)))
-    return complex(np.linalg.det(a)), [complex(cof[r][c]) for r, c in positions]
-
-
 def echelon_pivots(a: np.ndarray) -> np.ndarray:
     """Pivot magnitudes of a rectangular row-echelon reduction.
 
@@ -150,6 +97,8 @@ def _minor_index(n: int, rows: tuple[int, ...]):
     of an n x n matrix, shaped (len(rows), n, n-1, n-1) after
     broadcasting, and the cofactor signs (len(rows), n); frozen, since
     the cache hands the same arrays to every caller."""
+    if not all(0 <= r < n for r in rows):
+        raise ValueError(f"rows {rows} outside a {n}x{n} matrix")
     r = np.array(rows, dtype=int)
     c = np.arange(n)
     t = np.arange(n - 1)  # t + (t >= j) runs over range(n) without j

@@ -27,6 +27,7 @@ from .tracker import (
     PathCollisionError,
     TrackOptions,
     fresh_gamma,
+    nearest_neighbours,
     track_all,
 )
 
@@ -119,22 +120,23 @@ def make_loop(
 
 
 def _match_endpoints(endpoints, master_points) -> np.ndarray:
-    """Nearest-neighbour matching with distance and dominance guards."""
-    images = []
-    for i, e in enumerate(endpoints):
-        dists = np.array([np.linalg.norm(e - m) for m in master_points])
-        order = np.argsort(dists)
-        nearest = dists[order[0]]
-        if nearest > MATCH_TOL:
+    """Nearest-neighbour matching with distance and dominance guards:
+    each endpoint must lie within MATCH_TOL of its nearest master point
+    and MATCH_RATIO times closer to it than to the second-nearest."""
+    images, nearest, second = nearest_neighbours(endpoints, master_points)
+    far = nearest > MATCH_TOL
+    tied = second < MATCH_RATIO * np.maximum(nearest, 1e-300)
+    bad = np.flatnonzero(far | tied)
+    if len(bad):
+        i = bad[0]
+        if far[i]:
             raise MatchAmbiguityError(
-                f"endpoint {i} is {nearest:.3e} from the nearest master point"
+                f"endpoint {i} is {nearest[i]:.3e} from the nearest master point"
             )
-        if len(order) > 1 and dists[order[1]] < MATCH_RATIO * max(nearest, 1e-300):
-            raise MatchAmbiguityError(
-                f"endpoint {i} is ambiguous: second-nearest within 10x of nearest"
-            )
-        images.append(int(order[0]))
-    if len(set(images)) != len(images):
+        raise MatchAmbiguityError(
+            f"endpoint {i} is ambiguous: second-nearest within 10x of nearest"
+        )
+    if len(set(images.tolist())) != len(images):
         raise NotBijectiveError("two endpoints matched the same master point")
     return as_permutation(images, len(master_points))
 

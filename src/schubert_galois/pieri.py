@@ -35,6 +35,7 @@ from .tracker import (
     PathCollisionError,
     TrackOptions,
     fresh_gamma,
+    min_separation,
     refine_many,
     track_all,
 )
@@ -169,10 +170,9 @@ def _solve_once(instance, opts, gen, stats) -> MasterSet:
             return sols
 
         chart_nu = chart(sub)
+        live = [c for c in children(nu, q) if count_solutions(problem.with_mu(c)) > 0]
         starts: list[np.ndarray] = []
-        for child in children(nu, q):
-            if count_solutions(problem.with_mu(child)) == 0:
-                continue
+        for child in live:
             child_sols = solve(child, depth + 1)
             emb = child_embedding(chart_nu, child)
             starts.extend(embed_child(s, emb) for s in child_sols)
@@ -189,9 +189,7 @@ def _solve_once(instance, opts, gen, stats) -> MasterSet:
         sols = [r.endpoint for r in results if r.success]
         node_stats.append(
             {"nu": nu, "depth": depth, "base": False, "paths": len(starts),
-             "expected": expected,
-             "children": [c for c in children(nu, q)
-                          if count_solutions(problem.with_mu(c)) > 0]}
+             "expected": expected, "children": live}
         )
         if len(sols) != expected:
             raise CountMismatchError(
@@ -220,8 +218,8 @@ def _residuals(instance: ProblemInstance, points) -> np.ndarray:
 def verify_master(master: MasterSet, instance: ProblemInstance | None = None) -> VerifyReport:
     """Independent re-check of a master set against its instance.
 
-    Recomputes residuals, measures pairwise separation and compares the
-    count against the exact recursion count.
+    Recomputes residuals, measures the minimum pairwise separation and
+    compares the count against the exact recursion count.
     """
     instance = instance or master.instance
     expected = count_solutions(instance.problem)
@@ -231,11 +229,8 @@ def verify_master(master: MasterSet, instance: ProblemInstance | None = None) ->
     for i, r in enumerate(residuals):
         if r >= 1e-8:
             issues.append(f"solution {i} residual {r:.3e}")
-    min_sep = np.inf
     sols = master.solutions
-    for i in range(len(sols)):
-        for j in range(i + 1, len(sols)):
-            min_sep = min(min_sep, float(np.linalg.norm(sols[i] - sols[j])))
+    min_sep = min_separation(sols)
     if min_sep <= COLLISION_TOL:
         issues.append(f"minimum separation {min_sep:.3e}")
     if len(sols) != expected:
@@ -245,6 +240,6 @@ def verify_master(master: MasterSet, instance: ProblemInstance | None = None) ->
         expected_count=expected,
         actual_count=len(sols),
         residual_max=residual_max,
-        min_separation=float(min_sep),
+        min_separation=min_sep,
         issues=issues,
     )

@@ -13,7 +13,7 @@ plane,
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -290,10 +290,6 @@ class StackedSystem:
         self._active_rows = sorted({i for i, _ in chart_.var_cells})
         self._active_slopes = slopes[:, :, self._active_rows]
 
-    @property
-    def num_equations(self) -> int:
-        return self._base.shape[0]
-
     def _matrices(self, xs) -> np.ndarray:
         """The k x k matrices M_j for a batch of points: (p, num_planes, k, k).
 
@@ -303,16 +299,9 @@ class StackedSystem:
         xs = np.asarray(xs, dtype=complex)
         return self._base + np.einsum("pv,vjab->pjab", xs, self._slopes)
 
-    def values(self, x) -> np.ndarray:
-        return self.values_many(np.asarray(x, dtype=complex)[None])[0]
-
     def values_many(self, xs) -> np.ndarray:
         """Determinant values for a batch of points, shape (p, num_planes)."""
         return linalg.batched_det(self._matrices(xs))
-
-    def values_and_jacobian(self, x) -> tuple[np.ndarray, np.ndarray]:
-        vals, jac = self.values_and_jacobian_many(np.asarray(x, dtype=complex)[None])
-        return vals[0], jac[0]
 
     def values_and_jacobian_many(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Batched values (p, num_planes) and Jacobians (p, num_planes, nv)."""
@@ -321,11 +310,3 @@ class StackedSystem:
         jac = np.einsum("rpjl,vjrl->pjv", cof, self._active_slopes)
         return linalg.batched_det(m), jac
 
-
-def eval_system(chart_: SkewChart, planes, x) -> tuple[np.ndarray, np.ndarray]:
-    """Values and Jacobian of the m determinant equations at x.
-
-    values[j] = det [E(x) over planes[j]]; jacobian[j, v] is the cofactor
-    of the stacked matrix at the cell of variable v.
-    """
-    return StackedSystem(chart_, planes).values_and_jacobian(x)

@@ -22,11 +22,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import linalg
 from .rng import Lcg64
 from .schubert import SkewChart, StackedSystem
 
+# two points are distinct when they are more than COLLISION_TOL apart
 COLLISION_TOL = 1e-6
+# most float entries (8 MB) in one block of coordinate differences of a
+# neighbour search; a block holds at least one point's row
+NEIGHBOUR_BLOCK = 1 << 20
 MAX_RETRY_ROUNDS = 3
 
 # progressively gentler step control for re-tracking failed paths under
@@ -39,6 +42,50 @@ RESCUE_LADDER = (
 
 class PathCollisionError(RuntimeError):
     """Two tracked paths still share an endpoint after retries."""
+
+
+def _coordinates(points) -> np.ndarray:
+    """A non-empty set of complex points as rows of float coordinates."""
+    a = np.ascontiguousarray(points, dtype=complex)
+    return a.reshape(len(a), -1).view(float)
+
+
+def nearest_neighbours(points, refs=None):
+    """Exact nearest-neighbour search over plain Euclidean distances.
+
+    Returns, for each point, the index of its nearest reference point
+    and the distances to the nearest and second-nearest ones (inf where
+    there is none).  With refs None the points are searched against one
+    another, each skipping itself, so exact duplicates show as distance
+    0.  Distances are computed in blocks of rows of points.
+    """
+    n = len(points)
+    index = np.zeros(n, dtype=int)
+    dist2 = np.full((2, n), np.inf)
+    if n == 0:
+        return index, dist2[0], dist2[1]
+    p = _coordinates(points)
+    r = p if refs is None else _coordinates(refs)
+    rows = max(1, NEIGHBOUR_BLOCK // max(1, r.size))
+    for lo in range(0, n, rows):
+        diff = p[lo : lo + rows, None, :] - r[None]
+        sq = np.einsum("ijk,ijk->ij", diff, diff)
+        at = np.arange(len(sq))
+        if refs is None:
+            sq[at, lo + at] = np.inf
+        best = np.argmin(sq, axis=1)
+        index[lo : lo + rows] = best
+        dist2[0, lo : lo + rows] = sq[at, best]
+        sq[at, best] = np.inf
+        dist2[1, lo : lo + rows] = np.min(sq, axis=1)
+    return index, np.sqrt(dist2[0]), np.sqrt(dist2[1])
+
+
+def min_separation(points) -> float:
+    """The smallest distance between two of the points; inf for fewer
+    than two."""
+    _, nearest, _ = nearest_neighbours(points)
+    return float(np.min(nearest, initial=np.inf))
 
 
 def fresh_gamma(gen: Lcg64) -> complex:
@@ -67,10 +114,13 @@ class TrackOptions:
     endpoint_tol: float = 1e-12
 
     def __post_init__(self):
+        # every test is written so that NaN fails it
         if not 0 < self.min_dt <= self.initial_dt <= self.max_dt <= 1:
             raise ValueError("need 0 < min_dt <= initial_dt <= max_dt <= 1")
-        if self.newton_tol <= 0 or self.max_newton_iters < 1:
+        if not (self.newton_tol > 0 and self.max_newton_iters >= 1):
             raise ValueError("bad Newton options")
+        if not (self.residual_tol >= 0 and self.endpoint_tol > 0 and self.expand_after >= 1):
+            raise ValueError("need residual_tol >= 0, endpoint_tol > 0 and expand_after >= 1")
 
 
 @dataclass
@@ -117,10 +167,6 @@ class LinearHomotopy:
         h._system = self._system  # stacks are gamma-independent
         return h
 
-    @property
-    def num_vars(self) -> int:
-        return self.chart.num_vars
-
     def values_many(self, xs, ts) -> np.ndarray:
         """H at a batch of points, shape (p, num_vars)."""
         vals = self._system.values_many(xs)
@@ -143,40 +189,20 @@ class LinearHomotopy:
         ht[:, -1] = -vals[:, -2] + self.gamma * vals[:, -1]
         return h, hx, ht
 
-    def values(self, x, t: float) -> np.ndarray:
-        xs = np.asarray(x, dtype=complex)[None]
-        return self.values_many(xs, np.array([float(t)]))[0]
-
-    def residual(self, x, t: float) -> float:
-        v = self.values(x, t)
-        return float(np.max(np.abs(v))) if len(v) else 0.0
-
-    def evaluate(self, x, t: float):
-        """H(x, t), the Jacobian H_x and the t-derivative H_t."""
-        xs = np.asarray(x, dtype=complex)[None]
-        h, hx, ht = self.evaluate_many(xs, np.array([float(t)]))
-        return h[0], hx[0], ht[0]
-
 
 def _solve_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a[i] x[i] = b[i] for a batch; flags singular members instead
-    of raising."""
-    p = b.shape[0]
-    sing = np.zeros(p, dtype=bool)
+    """Solve a[i] x[i] = b[i] for a batch; flags exactly singular members
+    and members with a non-finite solution instead of raising."""
     try:
         x = np.linalg.solve(a, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
         x = np.zeros_like(b)
-        for i in range(p):
+        for i in range(len(b)):
             try:
                 x[i] = np.linalg.solve(a[i], b[i])
             except np.linalg.LinAlgError:
-                sing[i] = True
-        return x, sing
-    bad = ~np.all(np.isfinite(x), axis=1)
-    if bad.any():
-        sing |= bad
-    return x, sing
+                x[i] = np.nan
+    return x, ~np.all(np.isfinite(x), axis=1)
 
 
 def _residual_many(h: LinearHomotopy, xs, ts) -> np.ndarray:
@@ -252,12 +278,6 @@ def refine_many(h: LinearHomotopy, xs, t: float, tol: float,
         done = nd <= tol * np.maximum(1.0, np.linalg.norm(x[good], axis=1))
         act[good[done]] = False
     return best, best_res
-
-
-def refine(h: LinearHomotopy, x, t: float, tol: float, max_iters: int = 12) -> np.ndarray:
-    """Polish x against H(., t); returns the best point seen (never worse)."""
-    best, _ = refine_many(h, np.asarray(x, dtype=complex)[None], t, tol, max_iters)
-    return best[0]
 
 
 def track_many(h: LinearHomotopy, starts, opts: TrackOptions | None = None,
@@ -348,12 +368,6 @@ def track_many(h: LinearHomotopy, starts, opts: TrackOptions | None = None,
     return results
 
 
-def track_path(h: LinearHomotopy, start, opts: TrackOptions | None = None,
-               record_trace: bool = False) -> PathResult:
-    """Track one solution of the start system from t=0 to t=1."""
-    return track_many(h, [start], opts, record_trace)[0]
-
-
 def _rescue_failures(h: LinearHomotopy, starts, results, opts, record_trace):
     """Re-track failed paths under the same homotopy, more carefully.
 
@@ -381,16 +395,9 @@ def _rescue_failures(h: LinearHomotopy, starts, results, opts, record_trace):
                 results[i] = r
 
 
-def _collision_pairs(results) -> list[tuple[int, int]]:
-    pairs = []
-    done = [(i, r) for i, r in enumerate(results) if r.success]
-    for a in range(len(done)):
-        for b in range(a + 1, len(done)):
-            i, ri = done[a]
-            j, rj = done[b]
-            if np.linalg.norm(ri.endpoint - rj.endpoint) < COLLISION_TOL:
-                pairs.append((i, j))
-    return pairs
+def _endpoints_collide(results) -> bool:
+    """True when two successful paths ended within COLLISION_TOL."""
+    return min_separation([r.endpoint for r in results if r.success]) <= COLLISION_TOL
 
 
 def track_all(h: LinearHomotopy, starts, opts: TrackOptions | None = None,
@@ -411,16 +418,15 @@ def track_all(h: LinearHomotopy, starts, opts: TrackOptions | None = None,
     """
     opts = opts or TrackOptions()
     starts = [np.asarray(s, dtype=complex) for s in starts]
-    for i in range(len(starts)):
-        for j in range(i + 1, len(starts)):
-            if np.linalg.norm(starts[i] - starts[j]) <= COLLISION_TOL:
-                raise ValueError(f"starts {i} and {j} are not distinct")
+    sep = min_separation(starts)
+    if sep <= COLLISION_TOL:
+        raise ValueError(f"starts are not distinct: two lie {sep:.3e} apart")
 
     results = track_many(h, starts, opts, record_trace)
     _rescue_failures(h, starts, results, opts, record_trace)
+    collide = _endpoints_collide(results)
     for round_ in range(max_retry_rounds):
-        defective = any(not r.success for r in results) or _collision_pairs(results)
-        if not defective or gen is None:
+        if gen is None or not (collide or any(not r.success for r in results)):
             break
         shrink = 2 ** (round_ + 1)
         opts_retry = replace(
@@ -431,6 +437,7 @@ def track_all(h: LinearHomotopy, starts, opts: TrackOptions | None = None,
         h_retry = h.with_gamma(fresh_gamma(gen))
         results = track_many(h_retry, starts, opts_retry, record_trace)
         _rescue_failures(h_retry, starts, results, opts_retry, record_trace)
-    if _collision_pairs(results):
+        collide = _endpoints_collide(results)
+    if collide:
         raise PathCollisionError("coincident endpoints persist after retries")
     return results

@@ -26,15 +26,11 @@ from schubert_galois import (
     monodromy_permutation,
     random_instance,
     solve_master,
-    track_path,
 )
 from schubert_galois import linalg
 from schubert_galois.groups import compose, identity, inverse, is_full_symmetric
-from schubert_galois.schubert import (
-    SimpleSchubertProblem,
-    eval_system,
-    special_plane,
-)
+from schubert_galois.schubert import SimpleSchubertProblem, StackedSystem, special_plane
+from schubert_galois.tracker import track_many
 
 from oracles import (
     _fd_jacobian,
@@ -183,8 +179,8 @@ class TestStructuralProperties:
         for r in range(5):
             au, av, mix = a.copy(), a.copy(), a.copy()
             au[r], av[r], mix[r] = u, v, alpha * u + beta * v
-            combo = alpha * linalg.det(au) + beta * linalg.det(av)
-            assert abs(linalg.det(mix) - combo) < 1e-8 * max(1.0, abs(combo))
+            combo = alpha * linalg.batched_det(au) + beta * linalg.batched_det(av)
+            assert abs(linalg.batched_det(mix) - combo) < 1e-8 * max(1.0, abs(combo))
 
     def test_jacobian_matches_independent_finite_differences(self):
         instance = random_instance(SimpleSchubertProblem(3, 6, (2, 1), (1,)), seed=4)
@@ -192,7 +188,7 @@ class TestStructuralProperties:
         fn = make_det_system(3, 6, ch.one_cols, ch.var_cells, instance.planes)
         gen = Lcg64(5)
         x = np.array([gen.complex_entry() for _ in range(ch.num_vars)])
-        vals, jac = eval_system(ch, list(instance.planes), x)
+        [vals], [jac] = StackedSystem(ch, instance.planes).values_and_jacobian_many(x[None])
         ref_vals, ref_jac = _fd_jacobian(fn, x[None])
         scale = np.maximum(1.0, np.abs(ref_jac[0]))
         assert np.max(np.abs(vals - ref_vals[0])) < 1e-6 * np.max(scale)
@@ -203,7 +199,7 @@ class TestStructuralProperties:
         g1, g2 = pinned_instance.planes
         h = LinearHomotopy(ch, [g1], g2, g2, 1.0)
         for x0 in pinned_master.solutions:
-            result = track_path(h, x0)
+            [result] = track_many(h, [x0])
             assert result.success
             assert np.max(np.abs(result.endpoint - x0)) < 1e-9
 
@@ -267,7 +263,7 @@ class TestStructuralProperties:
                 x = np.array([gen.complex_entry() for _ in range(ch.num_vars)])
                 stacked = np.vstack([ch.instantiate(x), g])
                 product = np.prod(ch.rightmost_values(x))
-                assert abs(linalg.det(stacked) - product) < 1e-12 * max(
+                assert abs(linalg.batched_det(stacked) - product) < 1e-12 * max(
                     1.0, abs(product)
                 )
 

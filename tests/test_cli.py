@@ -74,6 +74,17 @@ class TestBadInput:
             {"k": 2, "n": 4, "options": {"strategy": "diagonal"}},
             {"k": 2, "n": 4, "options": {"max_loops": 0}},
             {"k": 2, "n": 4, "options": ["strategy"]},
+            # option values of the wrong JSON type
+            {"k": 2, "n": 4, "options": {"newton_tol": None}},
+            {"k": 2, "n": 4, "options": {"max_newton_iters": [3]}},
+            {"k": 2, "n": 4, "options": {"max_newton_iters": 2.9}},
+            {"k": 2, "n": 4, "options": {"newton_tol": 10**400}},
+            {"k": 2, "n": 4, "options": {"max_loops": True}},
+            {"k": 2, "n": 4, "seed": True},
+            {"k": True, "n": 4},
+            # values TrackOptions rejects
+            {"k": 2, "n": 4, "options": {"residual_tol": -1}},
+            {"k": 2, "n": 4, "options": {"endpoint_tol": -1}},
         ],
     )
     def test_bad_specs(self, tmp_path, capsys, fields):

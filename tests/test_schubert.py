@@ -21,7 +21,6 @@ from schubert_galois.schubert import (
     chart,
     children,
     count_solutions,
-    eval_system,
     is_dual_pair,
     normalize_partition,
     random_instance,
@@ -210,7 +209,7 @@ class TestSpecialPlane:
                 x = random_coords(gen, ch.num_vars)
                 stacked = np.vstack([ch.instantiate(x), g])
                 product = np.prod(ch.rightmost_values(x))
-                assert abs(linalg.det(stacked) - product) < 1e-12 * max(
+                assert abs(linalg.batched_det(stacked) - product) < 1e-12 * max(
                     1.0, abs(product)
                 )
 
@@ -223,10 +222,10 @@ class TestStackedSystem:
         planes = [gen.complex_matrix(3, 5) for _ in range(p.num_moving)]
         system = StackedSystem(ch, planes)
         x = random_coords(gen, ch.num_vars)
-        vals = system.values(x)
+        [vals] = system.values_many(x[None])
         e = ch.instantiate(x)
         for j, g in enumerate(planes):
-            assert abs(vals[j] - linalg.det(np.vstack([e, g]))) < 1e-10
+            assert abs(vals[j] - linalg.batched_det(np.vstack([e, g]))) < 1e-10
 
     def test_jacobian_matches_finite_differences(self):
         gen = Lcg64(32)
@@ -234,14 +233,14 @@ class TestStackedSystem:
         ch = chart(p)
         planes = [gen.complex_matrix(3, 6) for _ in range(p.num_moving)]
         x = random_coords(gen, ch.num_vars)
-        vals, jac = eval_system(ch, planes, x)
+        sys_ = StackedSystem(ch, planes)
+        [vals], [jac] = sys_.values_and_jacobian_many(x[None])
         h = 1e-6
         for v in range(ch.num_vars):
             xp, xm = x.copy(), x.copy()
             xp[v] += h
             xm[v] -= h
-            sys_ = StackedSystem(ch, planes)
-            fd = (sys_.values(xp) - sys_.values(xm)) / (2 * h)
+            fd = (sys_.values_many(xp[None]) - sys_.values_many(xm[None]))[0] / (2 * h)
             scale = np.maximum(1.0, np.abs(fd))
             assert np.max(np.abs(jac[:, v] - fd) / scale) < 1e-6
 
@@ -255,7 +254,7 @@ class TestStackedSystem:
         vals, jac = system.values_and_jacobian_many(xs)
         assert np.array_equal(system.values_many(xs), vals)
         for i in range(5):
-            v1, j1 = system.values_and_jacobian(xs[i])
+            [v1], [j1] = system.values_and_jacobian_many(xs[i : i + 1])
             assert np.allclose(vals[i], v1, rtol=1e-13, atol=0)
             assert np.allclose(jac[i], j1, rtol=1e-13, atol=0)
 
@@ -285,7 +284,7 @@ class TestSmallDeterminants:
         # at master solutions every k x k matrix is singular
         points = list(master.solutions) + [random_coords(gen, ch.num_vars) for _ in range(3)]
         for x in points:
-            vals, jac = system.values_and_jacobian(x)
+            [vals], [jac] = system.values_and_jacobian_many(x[None])
             e = ch.instantiate(x)
             for j, g in enumerate(instance.planes):
                 stacked = np.vstack([e, g])

@@ -9,17 +9,21 @@ the same starts one at a time.
 import numpy as np
 import pytest
 
+from schubert_galois import tracker
 from schubert_galois.rng import Lcg64
 from schubert_galois.schubert import SimpleSchubertProblem, chart
 from schubert_galois.tracker import (
     LinearHomotopy,
+    PathCollisionError,
     TrackOptions,
     TrackStatus,
+    _solve_batch,
     fresh_gamma,
-    refine,
+    min_separation,
+    nearest_neighbours,
+    refine_many,
     track_all,
     track_many,
-    track_path,
 )
 
 
@@ -30,26 +34,35 @@ def line_homotopy(start_ab, target_ab, gamma=1.0):
     )
 
 
+def at(x, t):
+    """One point and its t as a batch of one."""
+    return np.array([x], dtype=complex), np.array([float(t)])
+
+
+def residual(h, x, t):
+    return float(np.max(np.abs(h.values_many(*at(x, t)))))
+
+
 class TestLinearHomotopy:
     def test_values_and_derivatives(self):
         # H = (1-t)(-1 - x) + gamma t (2 - x)
         h = line_homotopy([1.0, -1.0], [1.0, 2.0])
-        assert h.values([-1.0], 0.0)[0] == pytest.approx(0.0)
-        assert h.values([2.0], 1.0)[0] == pytest.approx(0.0)
-        hv, hx, ht = h.evaluate([0.5], 0.5)
-        assert hv[0] == pytest.approx(0.5 * (-1.5) + 0.5 * 1.5)
-        assert hx[0, 0] == pytest.approx(-1.0)
-        assert ht[0] == pytest.approx(1.5 + 1.5)  # -f_start + f_target
+        assert h.values_many(*at([-1.0], 0.0))[0, 0] == pytest.approx(0.0)
+        assert h.values_many(*at([2.0], 1.0))[0, 0] == pytest.approx(0.0)
+        hv, hx, ht = h.evaluate_many(*at([0.5], 0.5))
+        assert hv[0, 0] == pytest.approx(0.5 * (-1.5) + 0.5 * 1.5)
+        assert hx[0, 0, 0] == pytest.approx(-1.0)
+        assert ht[0, 0] == pytest.approx(1.5 + 1.5)  # -f_start + f_target
 
     def test_time_derivative_matches_finite_differences(self):
         gen = Lcg64(11)
         g = fresh_gamma(gen)
         h = line_homotopy([1.0 + 1j, -2.0], [0.5j, 2.0], g)
         x = np.array([0.3 - 0.2j])
-        _, _, ht = h.evaluate(x, 0.4)
+        _, _, ht = h.evaluate_many(*at(x, 0.4))
         eps = 1e-7
-        fd = (h.values(x, 0.4 + eps) - h.values(x, 0.4 - eps)) / (2 * eps)
-        assert abs(ht[0] - fd[0]) < 1e-6
+        fd = (h.values_many(*at(x, 0.4 + eps)) - h.values_many(*at(x, 0.4 - eps))) / (2 * eps)
+        assert abs(ht[0, 0] - fd[0, 0]) < 1e-6
 
     def test_gamma_must_be_unit(self):
         with pytest.raises(ValueError):
@@ -74,7 +87,7 @@ class TestTrackPath:
     def test_tracks_the_explicit_line(self):
         # with gamma = 1 the root moves as x(t) = 3t - 1
         h = line_homotopy([1.0, -1.0], [1.0, 2.0])
-        result = track_path(h, np.array([-1.0 + 0j]), record_trace=True)
+        [result] = track_many(h, [np.array([-1.0 + 0j])], record_trace=True)
         assert result.success
         assert result.endpoint[0] == pytest.approx(2.0, abs=1e-10)
         assert result.residual < 1e-10
@@ -91,7 +104,7 @@ class TestTrackPath:
         # the target equation is the constant 1, so the root runs to
         # infinity as t -> 1 and no endpoint can satisfy the residual gate
         h = line_homotopy([1.0, -1.0], [0.0, 1.0])
-        result = track_path(h, np.array([-1.0 + 0j]))
+        [result] = track_many(h, [np.array([-1.0 + 0j])])
         assert not result.success
         assert result.status in (TrackStatus.STEP_UNDERFLOW,
                                  TrackStatus.NEWTON_DIVERGENCE)
@@ -102,14 +115,14 @@ class TestTrackPath:
         # the step size drops through the floor
         h = line_homotopy([1.0, -1.0], [1.0, 2.0])
         opts = TrackOptions(residual_tol=0.0)
-        result = track_path(h, np.array([-1.0 + 0j]), opts)
+        [result] = track_many(h, [np.array([-1.0 + 0j])], opts)
         assert result.status is TrackStatus.STEP_UNDERFLOW
         assert result.t_reached == 0.0
         assert result.steps == 0
 
     def test_constant_homotopy_stays_put(self):
         h = line_homotopy([2.0, 3.0], [2.0, 3.0])
-        result = track_path(h, np.array([1.5 + 0j]), record_trace=True)
+        [result] = track_many(h, [np.array([1.5 + 0j])], record_trace=True)
         assert result.success
         assert result.endpoint[0] == pytest.approx(1.5, abs=1e-12)
         for _, x in result.trace:
@@ -120,9 +133,9 @@ class TestTrackPath:
         a = [1.0 + 0.3j, -1.0 + 0.1j]
         b = [0.7 - 0.2j, 2.0 + 1.0j]
         g = fresh_gamma(gen)
-        fwd = track_path(line_homotopy(a, b, g), np.array([(-1.0 + 0.1j) / (1.0 + 0.3j)]))
+        [fwd] = track_many(line_homotopy(a, b, g), [np.array([(-1.0 + 0.1j) / (1.0 + 0.3j)])])
         assert fwd.success
-        back = track_path(line_homotopy(b, a, g.conjugate()), fwd.endpoint)
+        [back] = track_many(line_homotopy(b, a, g.conjugate()), [fwd.endpoint])
         assert back.success
         assert abs(back.endpoint[0] - (-1.0 + 0.1j) / (1.0 + 0.3j)) < 1e-9
 
@@ -137,7 +150,7 @@ class TestBatching:
         together = track_many(h, starts)
         assert all(r.success for r in together)
         for start, batched in zip(starts, together):
-            alone = track_path(h, start)
+            [alone] = track_many(h, [start])
             assert alone.status is batched.status
             assert alone.steps == batched.steps
             assert np.allclose(alone.endpoint, batched.endpoint, rtol=1e-12, atol=1e-14)
@@ -150,14 +163,14 @@ class TestBatching:
 class TestRefine:
     def test_refine_recovers_a_perturbed_root(self):
         h = line_homotopy([1.0, -1.0], [1.0, 2.0])
-        polished = refine(h, np.array([2.001 + 0.001j]), 1.0, 1e-12)
+        [polished], _ = refine_many(h, [np.array([2.001 + 0.001j])], 1.0, 1e-12)
         assert abs(polished[0] - 2.0) < 1e-12
 
     def test_refine_never_worsens(self):
         h = line_homotopy([1.0, -1.0], [1.0, 2.0])
         x0 = np.array([2.0 + 0j])  # already exact
-        polished = refine(h, x0, 1.0, 1e-12)
-        assert h.residual(polished, 1.0) <= h.residual(x0, 1.0) + 1e-15
+        [polished], _ = refine_many(h, [x0], 1.0, 1e-12)
+        assert residual(h, polished, 1.0) <= residual(h, x0, 1.0) + 1e-15
 
 
 class TestTrackAll:
@@ -165,6 +178,15 @@ class TestTrackAll:
         h = line_homotopy([1.0, -1.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             track_all(h, [np.array([-1.0 + 0j]), np.array([-1.0 + 1e-9j])])
+
+    def test_merged_endpoints_raise_without_a_generator(self):
+        # the pencil has one root; a start 0.5 off it is corrected onto
+        # the same path, so both paths end at x = 2
+        h = line_homotopy([1.0, -1.0], [1.0, 2.0])
+        starts = [np.array([-1.0 + 0j]), np.array([-0.5 + 0j])]
+        assert all(r.success for r in track_many(h, starts))
+        with pytest.raises(PathCollisionError):
+            track_all(h, starts, gen=None)
 
     def test_tracks_distinct_roots_of_a_pencil(self, pinned_instance, pinned_master,
                                                pinned_fresh_plane):
@@ -208,6 +230,79 @@ class TestTrackAll:
         assert calls[1][0] is h and calls[1][1] == 1
 
 
+class TestSolveBatch:
+    def test_matches_reference(self):
+        gen = Lcg64(1)
+        a = np.array([gen.complex_matrix(5, 5) for _ in range(3)])
+        b = np.array([gen.complex_matrix(1, 5)[0] for _ in range(3)])
+        x, bad = _solve_batch(a, b)
+        assert not bad.any()
+        for i in range(3):
+            assert np.allclose(a[i] @ x[i], b[i], atol=1e-10)
+
+    def test_flags_singular_and_non_finite_members(self):
+        # an exactly singular member makes the batched solve raise and
+        # fall back to one solve per member; a non-finite right-hand side
+        # solves without raising but gives a non-finite solution
+        for singular in (False, True):
+            gen = Lcg64(2)
+            a = np.array([gen.complex_matrix(3, 3) for _ in range(4)])
+            b = np.array([gen.complex_matrix(1, 3)[0] for _ in range(4)])
+            b[3, 0] = np.inf
+            if singular:
+                a[1, :, 0] = 0.0
+            x, bad = _solve_batch(a, b)
+            assert list(bad) == [False, singular, False, True]
+            for i in np.flatnonzero(~bad):
+                assert np.array_equal(x[i], np.linalg.solve(a[i], b[i]))
+
+
+class TestNeighbourSearch:
+    @staticmethod
+    def brute_force(points, refs, own):
+        index, near, second = [], [], []
+        for i, p in enumerate(points):
+            d = [np.linalg.norm(p - r) if not (own and i == j) else np.inf
+                 for j, r in enumerate(refs)]
+            order = np.argsort(d, kind="stable")
+            index.append(order[0])
+            near.append(d[order[0]])
+            second.append(d[order[1]] if len(d) > 1 else np.inf)
+        return np.array(index, dtype=int), np.array(near), np.array(second)
+
+    # block sizes that hold every point, one point, and two or three
+    @pytest.mark.parametrize("block", [tracker.NEIGHBOUR_BLOCK, 7, 300])
+    @pytest.mark.parametrize("own", [False, True])
+    @pytest.mark.parametrize("num_points,num_refs,dim", [
+        (0, 3, 2), (5, 1, 3), (1, 1, 2), (30, 17, 4), (40, 40, 1), (3, 5, 0),
+    ])
+    def test_matches_brute_force(self, monkeypatch, block, own, num_points, num_refs, dim):
+        monkeypatch.setattr(tracker, "NEIGHBOUR_BLOCK", block)
+        gen = Lcg64(num_points * 100 + num_refs * 10 + dim)
+        points = [gen.complex_matrix(1, dim)[0] for _ in range(num_points)]
+        refs = [gen.complex_matrix(1, dim)[0] for _ in range(num_refs)]
+        if num_points > 3 and num_refs > 3:
+            points[2] = points[0].copy()  # exact duplicates
+            refs[3] = refs[1].copy()
+            points[1] = refs[1].copy()
+        if own:
+            refs = points
+        got = nearest_neighbours(points, None if own else refs)
+        want = self.brute_force(points, refs, own)
+        assert got[0].shape == got[1].shape == got[2].shape == (num_points,)
+        assert np.array_equal(got[0][np.isfinite(want[1])], want[0][np.isfinite(want[1])])
+        for g, w in zip(got[1:], want[1:]):
+            assert np.array_equal(np.isinf(g), np.isinf(w))
+            assert np.allclose(g[np.isfinite(w)], w[np.isfinite(w)], rtol=1e-12, atol=0)
+
+    def test_min_separation(self):
+        assert min_separation([]) == np.inf
+        assert min_separation([np.array([1.0 + 0j])]) == np.inf
+        pts = [np.array([0j, 0j]), np.array([3.0 + 0j, 4j]), np.array([0j, 0j])]
+        assert min_separation(pts) == 0.0
+        assert min_separation(pts[:2]) == 5.0
+
+
 class TestOptions:
     def test_option_validation(self):
         with pytest.raises(ValueError):
@@ -218,6 +313,17 @@ class TestOptions:
             TrackOptions(newton_tol=-1.0)
         with pytest.raises(ValueError):
             TrackOptions(max_newton_iters=0)
+        with pytest.raises(ValueError):
+            TrackOptions(residual_tol=-1.0)
+        with pytest.raises(ValueError):
+            TrackOptions(endpoint_tol=0.0)
+        with pytest.raises(ValueError):
+            TrackOptions(expand_after=0)
+        for name in ("newton_tol", "initial_dt", "min_dt", "max_dt",
+                     "residual_tol", "endpoint_tol"):
+            with pytest.raises(ValueError):
+                TrackOptions(**{name: float("nan")})
+        TrackOptions(residual_tol=0.0)  # legal: no residual passes the gate
 
     def test_fresh_gamma_unit_and_deterministic(self):
         first = fresh_gamma(Lcg64(8))
