@@ -178,6 +178,8 @@ def load_planes(path: str, problem: SimpleSchubertProblem) -> tuple[np.ndarray, 
         )
     planes = []
     for mat in raw:
+        if not (isinstance(mat, list) and all(isinstance(row, list) for row in mat)):
+            raise SpecError(f"bad plane {mat!r}: use a list of rows, each a list of entries")
         planes.append(
             np.array([[_parse_complex(v) for v in row] for row in mat], dtype=complex)
         )

@@ -94,11 +94,14 @@ def make_loop(
     strategy: str,
     gen: Lcg64,
     fresh_plane: np.ndarray | None = None,
+    kernels: dict | None = None,
 ) -> Loop:
     """Build a loop moving the last plane toward a fresh random plane.
 
     The half loop's return leg carries a random unit gamma; the other
     strategies traverse genuinely distinct edges and keep gamma = 1.
+    The legs share one kernel-basis cache (see StackedSystem); pass
+    kernels to share it with other loops over the same instance too.
     """
     problem = instance.problem
     if problem.num_moving < 1:
@@ -112,10 +115,14 @@ def make_loop(
     chart_ = chart(problem)
     fixed = list(instance.planes[:-1])
     half_like = len(vertices) == 3
+    if kernels is None:
+        kernels = {}
     legs = []
     for i in range(len(vertices) - 1):
         gamma = fresh_gamma(gen) if (half_like and i == 1) else 1.0
-        legs.append(LinearHomotopy(chart_, fixed, vertices[i], vertices[i + 1], gamma))
+        legs.append(
+            LinearHomotopy(chart_, fixed, vertices[i], vertices[i + 1], gamma, kernels)
+        )
     return Loop(strategy, legs, base, fresh_plane)
 
 
@@ -239,8 +246,9 @@ def accumulate(
     loops: list[dict] = []
     verdict = None
     first_trace = None
+    kernels: dict = {}  # the fixed planes recur in every loop
     for loop_idx in range(max_loops):
-        loop = make_loop(master.instance, strategy, gen)
+        loop = make_loop(master.instance, strategy, gen, kernels=kernels)
         want_trace = record_first_trace and loop_idx == 0
         perm, traces = monodromy_permutation(master, loop, opts, gen, want_trace)
         if want_trace:

@@ -152,6 +152,7 @@ def _solve_once(instance, opts, gen, stats) -> MasterSet:
     k, q = problem.k, problem.q
     planes = instance.planes
     memo: dict[Partition, list[np.ndarray]] = {}
+    kernels: dict = {}  # each plane's kernel basis, shared by every node
     node_stats: list[dict] = []
 
     def solve(nu: Partition, depth: int) -> list[np.ndarray]:
@@ -183,6 +184,7 @@ def _solve_once(instance, opts, gen, stats) -> MasterSet:
             special_plane(k, problem.n, nu),
             planes[mv - 1],
             fresh_gamma(gen),
+            kernels,
         )
         starts = list(refine_many(h, starts, 0.0, opts.newton_tol)[0])
         results = track_all(h, starts, opts, gen)
@@ -202,16 +204,16 @@ def _solve_once(instance, opts, gen, stats) -> MasterSet:
     if stats is not None:
         stats["nodes"] = node_stats
         stats["max_depth"] = max((s["depth"] for s in node_stats), default=0)
-    residual_max = float(np.max(_residuals(instance, roots), initial=0.0))
+    residual_max = float(np.max(_residuals(instance, roots, kernels), initial=0.0))
     return MasterSet(instance, roots, residual_max)
 
 
-def _residuals(instance: ProblemInstance, points) -> np.ndarray:
+def _residuals(instance: ProblemInstance, points, kernels: dict | None = None) -> np.ndarray:
     """Largest equation residual at each point, in one batched evaluation."""
     problem = instance.problem
     if problem.num_moving == 0 or not len(points):
         return np.zeros(len(points))
-    system = StackedSystem(chart(problem), list(instance.planes))
+    system = StackedSystem(chart(problem), list(instance.planes), kernels)
     return np.max(np.abs(system.values_many(points)), axis=1)
 
 

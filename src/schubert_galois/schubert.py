@@ -271,20 +271,29 @@ class StackedSystem:
     holds row j_v of K_j in row i_v, for the variable v at chart cell
     (i_v, j_v).  So dM_j/dx_v = A_vj and the Jacobian entry is
     sum_(i,l) cof(M_j)[i, l] A_vj[i, l].  The planes are fixed at
-    construction.  Every point of a batch is evaluated on its own: a row
-    of a batched result is bit-identical to evaluating that point alone.
+    construction; kernels, when given, is a dict from plane contents to
+    kernel bases that systems built over the same planes share, so each
+    distinct plane's kernel is computed once.  Every point of a batch is
+    evaluated on its own: a row of a batched result is bit-identical to
+    evaluating that point alone.
     """
 
-    def __init__(self, chart_: SkewChart, planes):
+    def __init__(self, chart_: SkewChart, planes, kernels: dict | None = None):
         self.chart = chart_
         k = chart_.problem.k
-        kernels = np.array(
-            [linalg.kernel_basis(g) for g in planes], dtype=complex
-        ).reshape(len(planes), chart_.problem.n, k)
-        self._base = kernels[:, list(chart_.one_cols), :]
+        cache = {} if kernels is None else kernels
+        bases = []
+        for g in planes:
+            g = np.asarray(g, dtype=complex)
+            key = (g.shape, g.tobytes())
+            if key not in cache:
+                cache[key] = linalg.kernel_basis(g)
+            bases.append(cache[key])
+        bases = np.array(bases, dtype=complex).reshape(len(planes), chart_.problem.n, k)
+        self._base = bases[:, list(chart_.one_cols), :]
         slopes = np.zeros((chart_.num_vars, len(planes), k, k), dtype=complex)
         for v, (i, j) in enumerate(chart_.var_cells):
-            slopes[v, :, i] = kernels[:, j]
+            slopes[v, :, i] = bases[:, j]
         self._slopes = slopes
         # cofactor rows are needed only where the chart has variables
         self._active_rows = sorted({i for i, _ in chart_.var_cells})

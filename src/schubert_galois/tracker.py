@@ -138,10 +138,14 @@ class PathResult:
 
 
 class LinearHomotopy:
-    """Fixed plane equations plus one moving equation, linear in t."""
+    """Fixed plane equations plus one moving equation, linear in t.
+
+    kernels is the kernel-basis cache of StackedSystem, for homotopies
+    that share planes.
+    """
 
     def __init__(self, chart_: SkewChart, fixed_planes, start_plane, target_plane,
-                 gamma: complex = 1.0):
+                 gamma: complex = 1.0, kernels: dict | None = None):
         if abs(abs(gamma) - 1.0) > 1e-12:
             raise ValueError(f"gamma must lie on the unit circle, |gamma| = {abs(gamma)}")
         if len(fixed_planes) + 1 != chart_.num_vars:
@@ -154,7 +158,7 @@ class LinearHomotopy:
         self.target_plane = np.asarray(target_plane, dtype=complex)
         self.gamma = complex(gamma)
         self._system = StackedSystem(
-            chart_, self.fixed_planes + [self.start_plane, self.target_plane]
+            chart_, self.fixed_planes + [self.start_plane, self.target_plane], kernels
         )
 
     def with_gamma(self, gamma: complex) -> "LinearHomotopy":
@@ -170,24 +174,25 @@ class LinearHomotopy:
     def values_many(self, xs, ts) -> np.ndarray:
         """H at a batch of points, shape (p, num_vars)."""
         vals = self._system.values_many(xs)
-        moving = (1.0 - ts) * vals[:, -2] + (self.gamma * ts) * vals[:, -1]
-        return np.concatenate([vals[:, :-2], moving[:, None]], axis=1)
+        vals[:, -2] = (1.0 - ts) * vals[:, -2] + (self.gamma * ts) * vals[:, -1]
+        return vals[:, :-1]
 
     def evaluate_many(self, xs, ts):
-        """Batched H, Jacobian H_x and t-derivative H_t."""
+        """Batched H, Jacobian H_x and t-derivative H_t.
+
+        The moving equation is blended in place over the start plane's
+        row; H_t, zero but in that equation, takes the target plane's
+        Jacobian row once the blend has read it.
+        """
         vals, jac = self._system.values_and_jacobian_many(xs)
         w0 = 1.0 - ts
         w1 = self.gamma * ts
-        h = np.concatenate(
-            [vals[:, :-2], (w0 * vals[:, -2] + w1 * vals[:, -1])[:, None]], axis=1
-        )
-        hx = np.concatenate(
-            [jac[:, :-2], (w0[:, None] * jac[:, -2] + w1[:, None] * jac[:, -1])[:, None]],
-            axis=1,
-        )
-        ht = np.zeros_like(h)
+        jac[:, -2] = w0[:, None] * jac[:, -2] + w1[:, None] * jac[:, -1]
+        ht = jac[:, -1]
+        ht[:, :-1] = 0.0
         ht[:, -1] = -vals[:, -2] + self.gamma * vals[:, -1]
-        return h, hx, ht
+        vals[:, -2] = w0 * vals[:, -2] + w1 * vals[:, -1]
+        return vals[:, :-1], jac[:, :-1], ht
 
 
 def _solve_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,6 +215,12 @@ def _residual_many(h: LinearHomotopy, xs, ts) -> np.ndarray:
     return np.max(np.abs(vals), axis=1)
 
 
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Row norms in np.linalg.norm's exact arithmetic, without its
+    argument handling."""
+    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=1))
+
+
 def _newton_many(h: LinearHomotopy, xn: np.ndarray, tn: np.ndarray,
                  opts: TrackOptions) -> np.ndarray:
     """Newton-correct a batch in place; True where the iteration converged.
@@ -220,30 +231,26 @@ def _newton_many(h: LinearHomotopy, xn: np.ndarray, tn: np.ndarray,
     """
     p = len(xn)
     conv = np.zeros(p, dtype=bool)
-    dead = np.zeros(p, dtype=bool)
-    grew = np.zeros(p, dtype=int)
-    prev = np.full(p, np.inf)
+    # the paths still iterating: index, point, t, last step norm and
+    # number of consecutive growing steps
+    ia, x, t = np.arange(p), xn, tn
+    prev, grew = np.full(p, np.inf), np.zeros(p, dtype=int)
     for _ in range(opts.max_newton_iters):
-        ia = np.flatnonzero(~(conv | dead))
         if len(ia) == 0:
             break
-        hv, hx, _ = h.evaluate_many(xn[ia], tn[ia])
+        hv, hx, _ = h.evaluate_many(x, t)
         delta, sing = _solve_batch(hx, -hv)
-        dead[ia[sing]] = True
-        good = ia[~sing]
-        if len(good) == 0:
-            continue
-        d = delta[~sing]
-        xn[good] += d
-        nd = np.linalg.norm(d, axis=1)
-        scale = np.maximum(1.0, np.linalg.norm(xn[good], axis=1))
-        just_conv = nd <= opts.newton_tol * scale
-        conv[good[just_conv]] = True
-        rest = good[~just_conv]
-        nd_rest = nd[~just_conv]
-        grew[rest] = np.where(nd_rest >= prev[rest], grew[rest] + 1, 0)
-        dead[rest[grew[rest] >= 2]] = True
-        prev[rest] = nd_rest
+        if sing.any():
+            ok = ~sing
+            ia, x, t, prev, grew, delta = ia[ok], x[ok], t[ok], prev[ok], grew[ok], delta[ok]
+        x = x + delta
+        xn[ia] = x
+        nd = _norms(delta)
+        just_conv = nd <= opts.newton_tol * np.maximum(1.0, _norms(x))
+        conv[ia[just_conv]] = True
+        grew = np.where(nd >= prev, grew + 1, 0)
+        going = ~just_conv & (grew < 2)
+        ia, x, t, prev, grew = ia[going], x[going], t[going], nd[going], grew[going]
     return conv
 
 
@@ -274,8 +281,7 @@ def refine_many(h: LinearHomotopy, xs, t: float, tol: float,
         gi = good[imp]
         best[gi] = x[gi]
         best_res[gi] = res[imp]
-        nd = np.linalg.norm(d, axis=1)
-        done = nd <= tol * np.maximum(1.0, np.linalg.norm(x[good], axis=1))
+        done = _norms(d) <= tol * np.maximum(1.0, _norms(x[good]))
         act[good[done]] = False
     return best, best_res
 
@@ -286,9 +292,13 @@ def track_many(h: LinearHomotopy, starts, opts: TrackOptions | None = None,
 
     First-order predictor dx = -dt * Hx^-1 Ht, Newton corrector at the
     advanced t; dt halves on corrector failure and doubles after
-    expand_after consecutive accepted steps.  Endpoints are polished to
-    endpoint_tol and must leave residual below residual_tol.  All paths
-    advance together with the linear algebra batched across them.
+    expand_after consecutive accepted steps.  A converged correction is
+    accepted when its residual, from one evaluation with derivatives,
+    is below residual_tol; those derivatives feed the path's next
+    predictor, so a round evaluates nothing else.  Endpoints are
+    polished to endpoint_tol and must leave residual below
+    residual_tol.  All paths advance together with the linear algebra
+    and the step control batched across them.
     """
     opts = opts or TrackOptions()
     p = len(starts)
@@ -299,52 +309,54 @@ def track_many(h: LinearHomotopy, starts, opts: TrackOptions | None = None,
     dt = np.full(p, opts.initial_dt)
     streak = np.zeros(p, dtype=int)
     steps = np.zeros(p, dtype=int)
-    status: list[TrackStatus | None] = [None] * p
+    running = np.ones(p, dtype=bool)
+    status = np.full(p, None, dtype=object)
     traces = [[(0.0, X[i].copy())] for i in range(p)] if record_trace else None
+    # H_x and H_t at each path's current point
+    _, HX, HT = h.evaluate_many(X, t)
 
     while True:
-        idx = np.array(
-            [i for i in range(p) if status[i] is None and t[i] < 1.0 - 1e-14],
-            dtype=int,
-        )
+        idx = np.flatnonzero(running & (t < 1.0 - 1e-14))
         if len(idx) == 0:
             break
         dt_eff = np.minimum(dt[idx], 1.0 - t[idx])
-        _, hx, ht = h.evaluate_many(X[idx], t[idx])
-        v, sing = _solve_batch(hx, ht)
-        for i in idx[sing]:
-            status[i] = TrackStatus.SINGULAR
-        live = idx[~sing]
-        if len(live) == 0:
-            continue
-        de = dt_eff[~sing]
-        xn = X[live] - de[:, None] * v[~sing]
-        tn = t[live] + de
-        conv = _newton_many(h, xn, tn, opts)
-        accept = conv.copy()
-        if conv.any():
-            res = _residual_many(h, xn[conv], tn[conv])
-            accept[conv] = res < opts.residual_tol
-        for j, i in enumerate(live):
-            if accept[j]:
-                X[i] = xn[j]
-                t[i] = tn[j]
-                steps[i] += 1
-                streak[i] += 1
-                if traces is not None:
-                    traces[i].append((float(t[i]), X[i].copy()))
-                if streak[i] >= opts.expand_after:
-                    dt[i] = min(2.0 * dt[i], opts.max_dt)
-                    streak[i] = 0
-            else:
-                streak[i] = 0
-                dt[i] *= 0.5
-                if dt[i] < opts.min_dt:
-                    status[i] = TrackStatus.STEP_UNDERFLOW
+        v, sing = _solve_batch(HX[idx], HT[idx])
+        if sing.any():
+            status[idx[sing]] = TrackStatus.SINGULAR
+            running[idx[sing]] = False
+            idx, dt_eff, v = idx[~sing], dt_eff[~sing], v[~sing]
+            if len(idx) == 0:
+                continue
+        xn = X[idx] - dt_eff[:, None] * v
+        tn = t[idx] + dt_eff
+        accept = _newton_many(h, xn, tn, opts)
+        conv = np.flatnonzero(accept)
+        if len(conv):
+            hv, hx, ht = h.evaluate_many(xn[conv], tn[conv])
+            ok = np.max(np.abs(hv), axis=1) < opts.residual_tol
+            accept[conv[~ok]] = False
+            HX[idx[conv[ok]]] = hx[ok]
+            HT[idx[conv[ok]]] = ht[ok]
+        acc, rej = idx[accept], idx[~accept]
+        X[acc] = xn[accept]
+        t[acc] = tn[accept]
+        steps[acc] += 1
+        streak[acc] += 1
+        grow = acc[streak[acc] >= opts.expand_after]
+        dt[grow] = np.minimum(2.0 * dt[grow], opts.max_dt)
+        streak[grow] = 0
+        streak[rej] = 0
+        dt[rej] *= 0.5
+        under = rej[dt[rej] < opts.min_dt]
+        status[under] = TrackStatus.STEP_UNDERFLOW
+        running[under] = False
+        if traces is not None:
+            for i in acc:
+                traces[i].append((float(t[i]), X[i].copy()))
 
     results: list[PathResult | None] = [None] * p
-    fin = [i for i in range(p) if status[i] is None]
-    if fin:
+    fin = np.flatnonzero(running)
+    if len(fin):
         polished, res = refine_many(h, X[fin], 1.0, opts.endpoint_tol)
         for j, i in enumerate(fin):
             tr = traces[i] if traces is not None else None

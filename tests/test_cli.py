@@ -111,6 +111,20 @@ class TestBadInput:
         code, _ = run(["solve", spec, "--planes", planes, "--out", tmp_path], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "planes",
+        [
+            [1, 2],  # planes that are not matrices
+            [[[1, 0, 0, 0], 5], [[0, 1, 0, 0], [0, 0, 1, 0]]],  # a row that is not a list
+        ],
+    )
+    def test_malformed_planes(self, tmp_path, capsys, planes):
+        path = tmp_path / "planes.json"
+        path.write_text(json.dumps(planes))
+        spec = write_spec(tmp_path, k=2, n=4, **{"lambda": "box", "mu": "box"})
+        code, _ = run(["solve", spec, "--planes", path, "--out", tmp_path], capsys)
+        assert code == 2
+
     def test_unknown_flag_is_an_argparse_error(self, tmp_path):
         spec = write_spec(tmp_path, k=2, n=4)
         with pytest.raises(SystemExit):

@@ -35,6 +35,33 @@ def test_det_known_values():
         linalg.batched_det(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("n", range(6))
+def test_det_kernel_matches_lapack(n):
+    # n <= LEIBNIZ_MAX_N takes the Leibniz expansion, larger n LAPACK
+    gen = Lcg64(20 + n)
+    stacks = random_complex(gen, 3, 2, n, n)
+    want = np.linalg.det(stacks)
+    got = linalg._det(stacks)
+    assert got.shape == (3, 2)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+    for i, j in np.ndindex(3, 2):  # each matrix on its own, bit for bit
+        assert linalg._det(stacks[i, j]) == got[i, j]
+        assert linalg._det(stacks[i : i + 1, j : j + 1]) == got[i, j]
+    with pytest.raises(ValueError):
+        linalg._det(np.ones((2, n, n + 1)))
+
+
+@pytest.mark.parametrize("n", range(2, linalg.LEIBNIZ_MAX_N + 1))
+def test_det_kernel_is_exact_on_integer_singular_matrices(n):
+    gen = np.random.default_rng(n)
+    a = gen.integers(-9, 10, size=(5, n, n)).astype(complex)
+    a[:, -1] = 2 * a[:, 0] - 3j * a[:, -2]
+    assert np.all(linalg._det(a) == 0.0)
+    ints = gen.integers(-9, 10, size=(5, n, n))
+    exact = [round(float(np.linalg.det(m))) for m in ints]
+    assert linalg._det(ints.astype(complex)).tolist() == exact
+
+
 def test_gradient_matches_finite_differences():
     gen = Lcg64(3)
     a = random_complex(gen, 5, 5)

@@ -9,6 +9,7 @@ top of that same instance.
 import numpy as np
 import pytest
 
+from schubert_galois import linalg
 from schubert_galois.groups import compose, identity
 from schubert_galois.monodromy import (
     MatchAmbiguityError,
@@ -99,6 +100,23 @@ class TestMakeLoop:
             loop = make_loop(instance, strategy, Lcg64(8))
             assert len(loop.legs) == 2
             assert loop.legs[1].gamma != 1.0
+
+    def test_each_distinct_plane_gets_one_kernel(self, monkeypatch):
+        problem = SimpleSchubertProblem(2, 5, (), ())  # m = 6 planes, q = 3
+        instance = random_instance(problem, 1)
+        calls = []
+        kernel_basis = linalg.kernel_basis
+        monkeypatch.setattr(linalg, "kernel_basis",
+                            lambda g: calls.append(g) or kernel_basis(g))
+        # the short loop's 4 legs share the 5 fixed planes and visit the
+        # base plane and 3 other vertices
+        kernels = {}
+        loop = make_loop(instance, "short", Lcg64(5), kernels=kernels)
+        assert len(loop.legs) == 4
+        assert len(calls) == len(kernels) == 5 + 4
+        # a second loop over the same instance adds only its 3 vertices
+        make_loop(instance, "short", Lcg64(6), kernels=kernels)
+        assert len(calls) == 5 + 4 + 3
 
     def test_rejects_unknown_strategy_and_fixed_problems(self):
         problem = SimpleSchubertProblem(2, 5, (), ())

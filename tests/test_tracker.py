@@ -146,14 +146,24 @@ class TestBatching:
         ch = chart(pinned_instance.problem)
         g1, g2 = pinned_instance.planes
         h = LinearHomotopy(ch, [g1], g2, pinned_fresh_plane)
-        starts = pinned_master.solutions
-        together = track_many(h, starts)
-        assert all(r.success for r in together)
-        for start, batched in zip(starts, together):
-            [alone] = track_many(h, [start])
-            assert alone.status is batched.status
-            assert alone.steps == batched.steps
-            assert np.allclose(alone.endpoint, batched.endpoint, rtol=1e-12, atol=1e-14)
+        a, b = pinned_master.solutions
+        # far from both roots of the start system, so no correction
+        # converges and the path halves its step down to the floor
+        lost = np.array([5 + 5j, -7j])
+        for starts, success in (([a, b], [True, True]),
+                                ([a, lost, b], [True, False, True])):
+            together = track_many(h, starts)
+            assert [r.success for r in together] == success
+            for start, batched in zip(starts, together):
+                [alone] = track_many(h, [start])
+                assert alone.status is batched.status
+                assert alone.steps == batched.steps
+                assert alone.t_reached == batched.t_reached
+                assert alone.residual == batched.residual
+                if alone.success:
+                    assert np.array_equal(alone.endpoint, batched.endpoint)
+                else:
+                    assert alone.endpoint is None and batched.endpoint is None
 
     def test_track_many_empty(self):
         h = line_homotopy([1, -1], [1, 2])
