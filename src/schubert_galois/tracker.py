@@ -8,6 +8,10 @@ moving equation between two planes,
 which is linear in t.  gamma on the unit circle steers the path around
 the discriminant; a fresh draw retries an unlucky path.
 
+Each step predicts by cubic Hermite extrapolation from the path's
+previous and current points and their tangents dx/dt = -H_x^-1 H_t,
+then corrects with Newton's method at the advanced t.
+
 Paths of one homotopy never interact, so track_many advances any number
 of them together and batches all linear algebra across the live ones;
 step control (dt halving and doubling, Newton acceptance) stays
@@ -117,10 +121,12 @@ class TrackOptions:
         # every test is written so that NaN fails it
         if not 0 < self.min_dt <= self.initial_dt <= self.max_dt <= 1:
             raise ValueError("need 0 < min_dt <= initial_dt <= max_dt <= 1")
-        if not (self.newton_tol > 0 and self.max_newton_iters >= 1):
-            raise ValueError("bad Newton options")
-        if not (self.residual_tol >= 0 and self.endpoint_tol > 0 and self.expand_after >= 1):
-            raise ValueError("need residual_tol >= 0, endpoint_tol > 0 and expand_after >= 1")
+        if not (0 < self.newton_tol < np.inf and self.max_newton_iters >= 1):
+            raise ValueError("need finite newton_tol > 0 and max_newton_iters >= 1")
+        if not (0 <= self.residual_tol < np.inf and 0 < self.endpoint_tol < np.inf
+                and self.expand_after >= 1):
+            raise ValueError("need finite residual_tol >= 0 and endpoint_tol > 0, "
+                             "and expand_after >= 1")
 
 
 @dataclass
@@ -286,16 +292,37 @@ def refine_many(h: LinearHomotopy, xs, t: float, tol: float,
     return best, best_res
 
 
+def _hermite_predict(x0, v0, x1, v1, h, dt):
+    """Extrapolate rows of a path to t1 + dt by the cubic through
+    (t1 - h, x0) and (t1, x1) with tangents v0 and v1 there.
+
+    With s = 1 + dt/h the Hermite basis on [t1 - h, t1] gives
+    x1 + r [r (2s+1) (x0 - x1) + h s r v0 + h s^2 v1], r = s - 1.
+    Real per-row weights and elementwise operations keep every row
+    bit-identical to predicting it alone.
+    """
+    r = dt / h
+    s = 1.0 + r
+    return x1 + r[:, None] * ((r * (2.0 * s + 1.0))[:, None] * (x0 - x1)
+                              + (h * s * r)[:, None] * v0
+                              + (h * s * s)[:, None] * v1)
+
+
 def track_many(h: LinearHomotopy, starts, opts: TrackOptions | None = None,
                record_trace: bool = False) -> list[PathResult]:
     """Track each start from t=0 to t=1; results align with the starts.
 
-    First-order predictor dx = -dt * Hx^-1 Ht, Newton corrector at the
-    advanced t; dt halves on corrector failure and doubles after
+    The predictor is the cubic Hermite extrapolation from the path's
+    previous accepted point and its current one, each with its tangent
+    -Hx^-1 Ht (_hermite_predict); a path's first step, with no previous
+    point, is the Euler step dx = -dt * Hx^-1 Ht.  Newton corrects at
+    the advanced t; dt halves on corrector failure and doubles after
     expand_after consecutive accepted steps.  A converged correction is
     accepted when its residual, from one evaluation with derivatives,
-    is below residual_tol; those derivatives feed the path's next
-    predictor, so a round evaluates nothing else.  Endpoints are
+    is below residual_tol; those derivatives give the path's next
+    tangent, and a path's previous point and tangent are kept when its
+    step is accepted, so a round evaluates and solves nothing else.
+    A rejected step keeps the path's previous point.  Endpoints are
     polished to endpoint_tol and must leave residual below
     residual_tol.  All paths advance together with the linear algebra
     and the step control batched across them.
@@ -314,6 +341,9 @@ def track_many(h: LinearHomotopy, starts, opts: TrackOptions | None = None,
     traces = [[(0.0, X[i].copy())] for i in range(p)] if record_trace else None
     # H_x and H_t at each path's current point
     _, HX, HT = h.evaluate_many(X, t)
+    # each path's previous accepted point, its tangent and its t
+    Xp, Vp, tp = np.empty_like(X), np.empty_like(X), np.zeros(p)
+    hist = np.zeros(p, dtype=bool)
 
     while True:
         idx = np.flatnonzero(running & (t < 1.0 - 1e-14))
@@ -328,6 +358,10 @@ def track_many(h: LinearHomotopy, starts, opts: TrackOptions | None = None,
             if len(idx) == 0:
                 continue
         xn = X[idx] - dt_eff[:, None] * v
+        hi = np.flatnonzero(hist[idx])
+        if len(hi):
+            j = idx[hi]
+            xn[hi] = _hermite_predict(Xp[j], Vp[j], X[j], -v[hi], t[j] - tp[j], dt_eff[hi])
         tn = t[idx] + dt_eff
         accept = _newton_many(h, xn, tn, opts)
         conv = np.flatnonzero(accept)
@@ -338,6 +372,10 @@ def track_many(h: LinearHomotopy, starts, opts: TrackOptions | None = None,
             HX[idx[conv[ok]]] = hx[ok]
             HT[idx[conv[ok]]] = ht[ok]
         acc, rej = idx[accept], idx[~accept]
+        Xp[acc] = X[acc]
+        Vp[acc] = -v[accept]
+        tp[acc] = t[acc]
+        hist[acc] = True
         X[acc] = xn[accept]
         t[acc] = tn[accept]
         steps[acc] += 1

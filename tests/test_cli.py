@@ -94,8 +94,9 @@ class TestBadInput:
 
     def test_bad_tolerance_flag(self, tmp_path, capsys):
         spec = write_spec(tmp_path, k=2, n=4)
-        code, _ = run(["count", spec, "--tol", "-1.0"], capsys)
-        assert code == 2
+        for tol in ("-1.0", "inf", "nan"):
+            code, _ = run(["count", spec, "--tol", tol], capsys)
+            assert code == 2, tol
 
     def test_wrong_plane_count(self, tmp_path, capsys, pinned_planes_file):
         spec = write_spec(tmp_path, k=2, n=5)  # needs 6 planes, file has 2

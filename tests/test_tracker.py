@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from schubert_galois import tracker
+from schubert_galois.monodromy import make_loop
 from schubert_galois.rng import Lcg64
 from schubert_galois.schubert import SimpleSchubertProblem, chart
 from schubert_galois.tracker import (
@@ -17,6 +18,7 @@ from schubert_galois.tracker import (
     PathCollisionError,
     TrackOptions,
     TrackStatus,
+    _hermite_predict,
     _solve_batch,
     fresh_gamma,
     min_separation,
@@ -168,6 +170,48 @@ class TestBatching:
     def test_track_many_empty(self):
         h = line_homotopy([1, -1], [1, 2])
         assert track_many(h, []) == []
+
+
+class TestHermitePredictor:
+    def test_reproduces_a_cubic(self):
+        # the cubic Hermite interpolant of a cubic is the cubic itself,
+        # so extrapolating s = 1 + dt/h in (1, 3] lands on the path
+        gen = Lcg64(12)
+        a, b, c, d = (gen.complex_matrix(1, 3)[0] for _ in range(4))
+
+        def x(t):
+            return a + b * t + c * t**2 + d * t**3
+
+        def v(t):
+            return b + 2 * c * t + 3 * d * t**2
+
+        cases = [(t1, h, s) for t1 in (0.2, 0.6) for h in (1e-3, 0.03, 0.2)
+                 for s in (1.001, 1.5, 2.0, 3.0)]
+        t1, h, s = (np.array(col) for col in zip(*cases))
+        dt = (s - 1.0) * h
+        t0, tn = (t1 - h)[:, None], (t1 + dt)[:, None]
+        x0, v0, x1, v1 = x(t0), v(t0), x(t1[:, None]), v(t1[:, None])
+        got = _hermite_predict(x0, v0, x1, v1, h, dt)
+        want = x(tn)
+        assert np.allclose(got, want, rtol=0, atol=1e-13)
+        for i in range(len(cases)):
+            alone = _hermite_predict(x0[i:i + 1], v0[i:i + 1], x1[i:i + 1],
+                                     v1[i:i + 1], h[i:i + 1], dt[i:i + 1])
+            assert np.array_equal(alone[0], got[i])
+
+    def test_pinned_short_loop_step_count(self, pinned_instance, pinned_master,
+                                          pinned_fresh_plane):
+        # an Euler predictor takes 208 accepted steps on these legs, the
+        # cubic one 117
+        loop = make_loop(pinned_instance, "short", Lcg64(0),
+                         fresh_plane=pinned_fresh_plane)
+        points, steps = list(pinned_master.solutions), 0
+        for leg in loop.legs:
+            results = track_many(leg, points)
+            assert all(r.success for r in results)
+            steps += sum(r.steps for r in results)
+            points = [r.endpoint for r in results]
+        assert steps <= 150
 
 
 class TestRefine:
@@ -331,8 +375,9 @@ class TestOptions:
             TrackOptions(expand_after=0)
         for name in ("newton_tol", "initial_dt", "min_dt", "max_dt",
                      "residual_tol", "endpoint_tol"):
-            with pytest.raises(ValueError):
-                TrackOptions(**{name: float("nan")})
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ValueError):
+                    TrackOptions(**{name: bad})
         TrackOptions(residual_tol=0.0)  # legal: no residual passes the gate
 
     def test_fresh_gamma_unit_and_deterministic(self):
