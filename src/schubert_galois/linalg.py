@@ -2,11 +2,11 @@
 
 Matrices are tiny (k rarely above 5) but evaluations are numerous, so
 the batched (..., k, k) entry points matter more than any single
-factorization.  Every batched determinant goes through one kernel,
-_det: up to LEIBNIZ_MAX_N rows it is the exact Leibniz expansion, a sum
-of signed products of entries, which beats a LAPACK factorization at
+factorization.  Every batched determinant up to LEIBNIZ_MAX_N rows,
+minors included, is the exact Leibniz expansion (_leibniz), a sum of
+signed products of entries, which beats a LAPACK factorization at
 these sizes and gives exactly 0 on an integer singular matrix; larger
-matrices go to LAPACK through numpy.  Two operations are not routine:
+matrices go to LAPACK through numpy.  Three operations are not routine:
 
 * kernel_basis reduces a determinant with fixed bottom rows to a small
   one: det [E over G] = det(E K) for a suitably scaled kernel basis K
@@ -16,7 +16,13 @@ matrices go to LAPACK through numpy.  Two operations are not routine:
   points where A is singular by construction, so cofactors cannot be
   read off det(A) * inv(A).  They are computed as signed determinants
   of the (k-1) x (k-1) minors, which is exact at singular A and needs
-  no special case for k = 1 (an empty minor has determinant 1).
+  no special case for k = 1 (an empty minor has determinant 1).  One
+  gather collects the Leibniz factors of every minor at once.
+* laplace_det expands a determinant along one row from that row's
+  cofactors, so an evaluation that needs the cofactors anyway gets the
+  determinant for k multiplications; an evaluation of values alone
+  computes the one row of cofactors and expands the same way, which
+  keeps the two bit-identical.
 
 Every batched routine treats each matrix of a stack on its own, so a
 result does not depend on what else shares its batch.
@@ -102,7 +108,7 @@ def kernel_basis(g: np.ndarray) -> np.ndarray:
 def _leibniz_terms(n: int) -> np.ndarray:
     """Flat indices (n, n!) into an n x n matrix of the entries of each
     Leibniz product, factor i of every product in row i, one permutation
-    a column, the even permutations first; frozen, like _minor_index's
+    a column, the even permutations first; frozen, like _cofactor_index's
     arrays."""
     def parity(p):
         return sum(a > b for i, a in enumerate(p) for b in p[i + 1 :]) % 2
@@ -111,6 +117,34 @@ def _leibniz_terms(n: int) -> np.ndarray:
     index = (np.arange(n) * n + np.array(perms, dtype=int).reshape(len(perms), n)).T.copy()
     index.setflags(write=False)
     return index
+
+
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum along the last axis in halves, by elementwise additions in an
+    order fixed by its length alone."""
+    while terms.shape[-1] > 1:
+        half = terms.shape[-1] // 2
+        total = terms[..., :half] + terms[..., half : 2 * half]
+        if terms.shape[-1] % 2:
+            total[..., :1] += terms[..., -1:]
+        terms = total
+    return terms[..., 0]
+
+
+def _leibniz(factors: np.ndarray) -> np.ndarray:
+    """Determinants from their gathered Leibniz factors, shape
+    (..., n, n!) as _leibniz_terms(n) orders them: the even products
+    minus the odd ones."""
+    n = factors.shape[-2]
+    if n == 0:
+        return np.ones(factors.shape[:-2], dtype=factors.dtype)
+    terms = factors[..., 0, :]
+    for i in range(1, n):
+        terms = terms * factors[..., i, :]
+    if n > 1:
+        half = terms.shape[-1] // 2
+        terms = terms[..., :half] - terms[..., half:]
+    return _pairwise_sum(terms)
 
 
 def _det(stacks: np.ndarray) -> np.ndarray:
@@ -131,22 +165,7 @@ def _det(stacks: np.ndarray) -> np.ndarray:
         return np.linalg.det(stacks)
     if stacks.dtype.kind not in "fc":
         stacks = stacks.astype(float)
-    if n == 0:
-        return np.ones(stacks.shape[:-2], dtype=stacks.dtype)
-    factors = stacks.reshape(stacks.shape[:-2] + (n * n,))[..., _leibniz_terms(n)]
-    terms = factors[..., 0, :]
-    for i in range(1, n):
-        terms = terms * factors[..., i, :]
-    if n > 1:
-        half = terms.shape[-1] // 2
-        terms = terms[..., :half] - terms[..., half:]
-    while terms.shape[-1] > 1:  # pairwise, in halves
-        half = terms.shape[-1] // 2
-        total = terms[..., :half] + terms[..., half : 2 * half]
-        if terms.shape[-1] % 2:
-            total[..., :1] += terms[..., -1:]
-        terms = total
-    return terms[..., 0]
+    return _leibniz(stacks.reshape(stacks.shape[:-2] + (n * n,))[..., _leibniz_terms(n)])
 
 
 def batched_det(stacks: np.ndarray) -> np.ndarray:
@@ -154,24 +173,29 @@ def batched_det(stacks: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _minor_index(n: int, rows: tuple[int, ...]):
-    """Gather indices of every (n-1) x (n-1) minor along the given rows
-    of an n x n matrix, shaped (len(rows), n, n-1, n-1) after
-    broadcasting, and the cofactor signs (len(rows), n); frozen, since
-    the cache hands the same arrays to every caller."""
+def _cofactor_index(n: int, rows: tuple[int, ...]):
+    """Gather index into a flattened n x n matrix for the cofactors
+    along the given rows, and their signs (len(rows), n); frozen, since
+    the cache hands the same arrays to every caller.
+
+    When the (n-1) x (n-1) minors take the Leibniz expansion the index
+    has shape (len(rows), n, n-1, (n-1)!) and picks every minor's
+    Leibniz factors at once; otherwise (len(rows), n, n-1, n-1), the
+    minors themselves.
+    """
     if not all(0 <= r < n for r in rows):
         raise ValueError(f"rows {rows} outside a {n}x{n} matrix")
     r = np.array(rows, dtype=int)
     c = np.arange(n)
     t = np.arange(n - 1)  # t + (t >= j) runs over range(n) without j
-    out = (
-        (t + (t >= r[:, None]))[:, None, :, None],
-        (t + (t >= c[:, None]))[None, :, None, :],
-        1 - 2 * ((r[:, None] + c) % 2),
-    )
-    for a in out:
+    index = (n * (t + (t >= r[:, None]))[:, None, :, None]
+             + (t + (t >= c[:, None]))[None, :, None, :])
+    if n - 1 <= LEIBNIZ_MAX_N:
+        index = index.reshape(len(rows), n, (n - 1) ** 2)[..., _leibniz_terms(n - 1)]
+    sign = 1 - 2 * ((r[:, None] + c) % 2)
+    for a in (index, sign):
         a.setflags(write=False)
-    return out
+    return index, sign
 
 
 def batched_rows_cofactors(stacks: np.ndarray, rows) -> np.ndarray:
@@ -179,10 +203,25 @@ def batched_rows_cofactors(stacks: np.ndarray, rows) -> np.ndarray:
 
     stacks has shape (..., n, n); the result has shape (len(rows), ..., n)
     with result[i, ...] the cofactors of stacks[...] along row rows[i].
-    One gather builds every (n-1) x (n-1) minor the rows need and one
-    batched determinant evaluates them all.
+    One gather collects, for every (n-1) x (n-1) minor the rows need,
+    its Leibniz factors (above LEIBNIZ_MAX_N its entries, for LAPACK),
+    and one batched evaluation gives all the minors.
     """
-    keep_rows, keep_cols, sign = _minor_index(stacks.shape[-1], tuple(int(r) for r in rows))
-    cof = sign * _det(stacks[..., keep_rows, keep_cols])
+    n = stacks.shape[-1]
+    index, sign = _cofactor_index(n, tuple(int(r) for r in rows))
+    gathered = stacks.reshape(stacks.shape[:-2] + (n * n,))[..., index]
+    minors = _leibniz(gathered) if n - 1 <= LEIBNIZ_MAX_N else np.linalg.det(gathered)
+    cof = sign * minors
     nd = cof.ndim
     return cof.transpose(nd - 2, *range(nd - 2), nd - 1)
+
+
+def laplace_det(stacks: np.ndarray, row: int, cofactors: np.ndarray) -> np.ndarray:
+    """Determinants of a stack (..., n, n) expanded along one row, from
+    that row's cofactors (..., n).
+
+    The products are summed in halves by elementwise additions, so each
+    determinant depends on its own matrix alone; two callers that pass
+    the same cofactors get the same bits.
+    """
+    return _pairwise_sum(stacks[..., row, :] * cofactors)

@@ -270,12 +270,15 @@ class StackedSystem:
     and M_j is affine in x, M_j(x) = E0 K_j + sum_v x_v A_vj where A_vj
     holds row j_v of K_j in row i_v, for the variable v at chart cell
     (i_v, j_v).  So dM_j/dx_v = A_vj and the Jacobian entry is
-    sum_(i,l) cof(M_j)[i, l] A_vj[i, l].  The planes are fixed at
-    construction; kernels, when given, is a dict from plane contents to
-    kernel bases that systems built over the same planes share, so each
-    distinct plane's kernel is computed once.  Every point of a batch is
-    evaluated on its own: a row of a batched result is bit-identical to
-    evaluating that point alone.
+    sum_(i,l) cof(M_j)[i, l] A_vj[i, l], over the active rows i, those
+    holding variables.  det M_j is the Laplace expansion along the first
+    active row, from cofactors the Jacobian needs anyway; values_many
+    expands the same way, so both give the same bits.  The planes are
+    fixed at construction; kernels, when given, is a dict from plane
+    contents to kernel bases that systems built over the same planes
+    share, so each distinct plane's kernel is computed once.  Every point
+    of a batch is evaluated on its own: a row of a batched result is
+    bit-identical to evaluating that point alone.
     """
 
     def __init__(self, chart_: SkewChart, planes, kernels: dict | None = None):
@@ -295,8 +298,9 @@ class StackedSystem:
         for v, (i, j) in enumerate(chart_.var_cells):
             slopes[v, :, i] = bases[:, j]
         self._slopes = slopes
-        # cofactor rows are needed only where the chart has variables
-        self._active_rows = sorted({i for i, _ in chart_.var_cells})
+        # cofactor rows are needed only where the chart has variables,
+        # and the determinant's first (row 0 for a chart without any)
+        self._active_rows = sorted({i for i, _ in chart_.var_cells}) or [0]
         self._active_slopes = slopes[:, :, self._active_rows]
 
     def _matrices(self, xs) -> np.ndarray:
@@ -309,13 +313,20 @@ class StackedSystem:
         return self._base + np.einsum("pv,vjab->pjab", xs, self._slopes)
 
     def values_many(self, xs) -> np.ndarray:
-        """Determinant values for a batch of points, shape (p, num_planes)."""
-        return linalg.batched_det(self._matrices(xs))
+        """Determinant values for a batch of points, shape (p, num_planes),
+        bit-identical to those of values_and_jacobian_many."""
+        m = self._matrices(xs)
+        row = self._active_rows[0]
+        [cof] = linalg.batched_rows_cofactors(m, (row,))
+        return linalg.laplace_det(m, row, cof)
 
     def values_and_jacobian_many(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        """Batched values (p, num_planes) and Jacobians (p, num_planes, nv)."""
+        """Batched values (p, num_planes) and Jacobians (p, num_planes, nv).
+
+        The value is the Laplace expansion along the first active row,
+        from the cofactors the Jacobian needs anyway.
+        """
         m = self._matrices(xs)
         cof = linalg.batched_rows_cofactors(m, self._active_rows)
         jac = np.einsum("rpjl,vjrl->pjv", cof, self._active_slopes)
-        return linalg.batched_det(m), jac
-
+        return linalg.laplace_det(m, self._active_rows[0], cof[0]), jac

@@ -10,7 +10,12 @@ the discriminant; a fresh draw retries an unlucky path.
 
 Each step predicts by cubic Hermite extrapolation from the path's
 previous and current points and their tangents dx/dt = -H_x^-1 H_t,
-then corrects with Newton's method at the advanced t.
+then corrects with Newton's method at the advanced t.  Every Newton
+iteration solves for its correction and the tangent together, so the
+iteration that converges also hands the path its next tangent, and the
+residual check at the corrected point needs values only.  An accepted
+step thus costs one evaluation with derivatives and one linear solve
+per Newton iteration, plus one values-only evaluation.
 
 Paths of one homotopy never interact, so track_many advances any number
 of them together and batches all linear algebra across the live ones;
@@ -121,12 +126,14 @@ class TrackOptions:
         # every test is written so that NaN fails it
         if not 0 < self.min_dt <= self.initial_dt <= self.max_dt <= 1:
             raise ValueError("need 0 < min_dt <= initial_dt <= max_dt <= 1")
-        if not (0 < self.newton_tol < np.inf and self.max_newton_iters >= 1):
-            raise ValueError("need finite newton_tol > 0 and max_newton_iters >= 1")
-        if not (0 <= self.residual_tol < np.inf and 0 < self.endpoint_tol < np.inf
-                and self.expand_after >= 1):
-            raise ValueError("need finite residual_tol >= 0 and endpoint_tol > 0, "
-                             "and expand_after >= 1")
+        for name in ("max_newton_iters", "expand_after"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not 0 < self.newton_tol < np.inf:
+            raise ValueError("need finite newton_tol > 0")
+        if not (0 <= self.residual_tol < np.inf and 0 < self.endpoint_tol < np.inf):
+            raise ValueError("need finite residual_tol >= 0 and endpoint_tol > 0")
 
 
 @dataclass
@@ -202,18 +209,23 @@ class LinearHomotopy:
 
 
 def _solve_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a[i] x[i] = b[i] for a batch; flags exactly singular members
-    and members with a non-finite solution instead of raising."""
+    """Solve a[i] x[i] = b[i] for a batch, each b[i] a vector or a matrix
+    of columns; flags exactly singular members and members with a
+    non-finite solution instead of raising."""
+    vector = b.ndim < a.ndim
+    rhs = b[..., None] if vector else b
     try:
-        x = np.linalg.solve(a, b[..., None])[..., 0]
+        x = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
-        x = np.zeros_like(b)
+        x = np.zeros_like(rhs)
         for i in range(len(b)):
             try:
-                x[i] = np.linalg.solve(a[i], b[i])
+                x[i] = np.linalg.solve(a[i], rhs[i])
             except np.linalg.LinAlgError:
                 x[i] = np.nan
-    return x, ~np.all(np.isfinite(x), axis=1)
+    if vector:
+        x = x[..., 0]
+    return x, ~np.isfinite(x.reshape(len(x), -1)).all(axis=1)
 
 
 def _residual_many(h: LinearHomotopy, xs, ts) -> np.ndarray:
@@ -228,15 +240,21 @@ def _norms(a: np.ndarray) -> np.ndarray:
 
 
 def _newton_many(h: LinearHomotopy, xn: np.ndarray, tn: np.ndarray,
-                 opts: TrackOptions) -> np.ndarray:
-    """Newton-correct a batch in place; True where the iteration converged.
+                 opts: TrackOptions) -> tuple[np.ndarray, np.ndarray]:
+    """Newton-correct a batch; returns True where the iteration converged,
+    and there the corrected point (in place of xn) and the tangent dx/dt
+    of the converging iteration.
 
     Per path this is the classical loop: converge when the step is small
     relative to the point, give up after two consecutive step growths or
-    a singular Jacobian, stall when iterations run out.
+    a singular Jacobian, stall when iterations run out.  Each iteration
+    solves H_x [delta, w] = [-H, -H_t] as one two-column system, so
+    w = -H_x^-1 H_t is the tangent at the iterate, which lies within
+    newton_tol * max(1, |x|) of the corrected point once it converges.
     """
     p = len(xn)
     conv = np.zeros(p, dtype=bool)
+    tangent = np.empty_like(xn)
     # the paths still iterating: index, point, t, last step norm and
     # number of consecutive growing steps
     ia, x, t = np.arange(p), xn, tn
@@ -244,20 +262,29 @@ def _newton_many(h: LinearHomotopy, xn: np.ndarray, tn: np.ndarray,
     for _ in range(opts.max_newton_iters):
         if len(ia) == 0:
             break
-        hv, hx, _ = h.evaluate_many(x, t)
-        delta, sing = _solve_batch(hx, -hv)
+        hv, hx, ht = h.evaluate_many(x, t)
+        rhs = np.empty(hv.shape + (2,), dtype=complex)
+        np.negative(hv, out=rhs[..., 0])
+        np.negative(ht, out=rhs[..., 1])
+        step, sing = _solve_batch(hx, rhs)
         if sing.any():
             ok = ~sing
-            ia, x, t, prev, grew, delta = ia[ok], x[ok], t[ok], prev[ok], grew[ok], delta[ok]
+            ia, x, t, prev, grew, step = ia[ok], x[ok], t[ok], prev[ok], grew[ok], step[ok]
+        delta = step[..., 0]
         x = x + delta
-        xn[ia] = x
         nd = _norms(delta)
         just_conv = nd <= opts.newton_tol * np.maximum(1.0, _norms(x))
-        conv[ia[just_conv]] = True
         grew = np.where(nd >= prev, grew + 1, 0)
         going = ~just_conv & (grew < 2)
+        if going.all():
+            prev = nd
+            continue
+        done = ia[just_conv]
+        conv[done] = True
+        xn[done] = x[just_conv]
+        tangent[done] = step[just_conv, :, 1]
         ia, x, t, prev, grew = ia[going], x[going], t[going], nd[going], grew[going]
-    return conv
+    return conv, tangent
 
 
 def refine_many(h: LinearHomotopy, xs, t: float, tol: float,
@@ -314,18 +341,19 @@ def track_many(h: LinearHomotopy, starts, opts: TrackOptions | None = None,
 
     The predictor is the cubic Hermite extrapolation from the path's
     previous accepted point and its current one, each with its tangent
-    -Hx^-1 Ht (_hermite_predict); a path's first step, with no previous
-    point, is the Euler step dx = -dt * Hx^-1 Ht.  Newton corrects at
-    the advanced t; dt halves on corrector failure and doubles after
-    expand_after consecutive accepted steps.  A converged correction is
-    accepted when its residual, from one evaluation with derivatives,
-    is below residual_tol; those derivatives give the path's next
-    tangent, and a path's previous point and tangent are kept when its
-    step is accepted, so a round evaluates and solves nothing else.
-    A rejected step keeps the path's previous point.  Endpoints are
-    polished to endpoint_tol and must leave residual below
-    residual_tol.  All paths advance together with the linear algebra
-    and the step control batched across them.
+    dx/dt = -Hx^-1 Ht (_hermite_predict); a path's first step, with no
+    previous point, is the Euler step dx = dt * dx/dt.  Newton corrects
+    at the advanced t (_newton_many); dt halves on corrector failure and
+    doubles after expand_after consecutive accepted steps.  A converged
+    correction is accepted when its residual, from one values-only
+    evaluation, is below residual_tol.  Each path keeps its tangent: the
+    start's comes from one evaluation and solve, every later one from
+    the Newton iteration that converged on the accepted point, and a
+    rejected step predicts again from the kept point and tangent, so a
+    round evaluates and solves nothing else.  Endpoints are polished to
+    endpoint_tol and must leave residual below residual_tol.  All paths
+    advance together with the linear algebra and the step control
+    batched across them.
     """
     opts = opts or TrackOptions()
     p = len(starts)
@@ -339,55 +367,48 @@ def track_many(h: LinearHomotopy, starts, opts: TrackOptions | None = None,
     running = np.ones(p, dtype=bool)
     status = np.full(p, None, dtype=object)
     traces = [[(0.0, X[i].copy())] for i in range(p)] if record_trace else None
-    # H_x and H_t at each path's current point
-    _, HX, HT = h.evaluate_many(X, t)
-    # each path's previous accepted point, its tangent and its t
+    # each path's tangent dx/dt at its current point
+    _, hx, ht = h.evaluate_many(X, t)
+    V, sing = _solve_batch(hx, -ht)
+    status[sing] = TrackStatus.SINGULAR
+    running[sing] = False
+    # each path's previous accepted point, its tangent and its t; set
+    # once the path has taken a step
     Xp, Vp, tp = np.empty_like(X), np.empty_like(X), np.zeros(p)
-    hist = np.zeros(p, dtype=bool)
 
     while True:
         idx = np.flatnonzero(running & (t < 1.0 - 1e-14))
         if len(idx) == 0:
             break
         dt_eff = np.minimum(dt[idx], 1.0 - t[idx])
-        v, sing = _solve_batch(HX[idx], HT[idx])
-        if sing.any():
-            status[idx[sing]] = TrackStatus.SINGULAR
-            running[idx[sing]] = False
-            idx, dt_eff, v = idx[~sing], dt_eff[~sing], v[~sing]
-            if len(idx) == 0:
-                continue
-        xn = X[idx] - dt_eff[:, None] * v
-        hi = np.flatnonzero(hist[idx])
+        xn = X[idx] + dt_eff[:, None] * V[idx]
+        hi = np.flatnonzero(steps[idx])
         if len(hi):
             j = idx[hi]
-            xn[hi] = _hermite_predict(Xp[j], Vp[j], X[j], -v[hi], t[j] - tp[j], dt_eff[hi])
+            xn[hi] = _hermite_predict(Xp[j], Vp[j], X[j], V[j], t[j] - tp[j], dt_eff[hi])
         tn = t[idx] + dt_eff
-        accept = _newton_many(h, xn, tn, opts)
+        accept, vn = _newton_many(h, xn, tn, opts)
         conv = np.flatnonzero(accept)
         if len(conv):
-            hv, hx, ht = h.evaluate_many(xn[conv], tn[conv])
-            ok = np.max(np.abs(hv), axis=1) < opts.residual_tol
-            accept[conv[~ok]] = False
-            HX[idx[conv[ok]]] = hx[ok]
-            HT[idx[conv[ok]]] = ht[ok]
+            accept[conv] = _residual_many(h, xn[conv], tn[conv]) < opts.residual_tol
         acc, rej = idx[accept], idx[~accept]
         Xp[acc] = X[acc]
-        Vp[acc] = -v[accept]
+        Vp[acc] = V[acc]
         tp[acc] = t[acc]
-        hist[acc] = True
         X[acc] = xn[accept]
+        V[acc] = vn[accept]
         t[acc] = tn[accept]
         steps[acc] += 1
         streak[acc] += 1
         grow = acc[streak[acc] >= opts.expand_after]
         dt[grow] = np.minimum(2.0 * dt[grow], opts.max_dt)
         streak[grow] = 0
-        streak[rej] = 0
-        dt[rej] *= 0.5
-        under = rej[dt[rej] < opts.min_dt]
-        status[under] = TrackStatus.STEP_UNDERFLOW
-        running[under] = False
+        if len(rej):
+            streak[rej] = 0
+            dt[rej] *= 0.5
+            under = rej[dt[rej] < opts.min_dt]
+            status[under] = TrackStatus.STEP_UNDERFLOW
+            running[under] = False
         if traces is not None:
             for i in acc:
                 traces[i].append((float(t[i]), X[i].copy()))

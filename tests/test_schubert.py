@@ -313,6 +313,26 @@ class TestSmallDeterminants:
                 assert np.array_equal(jac, want_jac[lo : lo + size])
                 assert np.array_equal(system.values_many(chunk), vals)
 
+    # the tracker's residual check reads values only, and must read what
+    # an evaluation with derivatives would
+    @pytest.mark.parametrize("k,n,lam,mu", CASES)
+    def test_values_only_is_bit_identical_at_master_solutions(self, k, n, lam, mu):
+        p = SimpleSchubertProblem(k, n, lam, mu)
+        instance = random_instance(p, 40 + k)
+        master = solve_master(instance)
+        system = StackedSystem(chart(p), instance.planes)
+        gen = Lcg64(70 + k)
+        # every M_j is singular at a master solution: every seventh
+        # point is one
+        xs = np.array([random_coords(gen, p.num_moving) for _ in range(42)])
+        sols = master.solutions[:6]
+        xs[: 7 * len(sols) : 7] = sols
+        for size in (1, 3, 42):
+            for lo in range(0, 42, size):
+                chunk = xs[lo : lo + size]
+                vals, _ = system.values_and_jacobian_many(chunk)
+                assert np.array_equal(system.values_many(chunk), vals)
+
 
 class TestInstances:
     def test_random_instance_reproducible_and_well_formed(self):

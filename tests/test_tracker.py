@@ -12,13 +12,14 @@ import pytest
 from schubert_galois import tracker
 from schubert_galois.monodromy import make_loop
 from schubert_galois.rng import Lcg64
-from schubert_galois.schubert import SimpleSchubertProblem, chart
+from schubert_galois.schubert import SimpleSchubertProblem, StackedSystem, chart
 from schubert_galois.tracker import (
     LinearHomotopy,
     PathCollisionError,
     TrackOptions,
     TrackStatus,
     _hermite_predict,
+    _newton_many,
     _solve_batch,
     fresh_gamma,
     min_separation,
@@ -199,19 +200,53 @@ class TestHermitePredictor:
                                      v1[i:i + 1], h[i:i + 1], dt[i:i + 1])
             assert np.array_equal(alone[0], got[i])
 
-    def test_pinned_short_loop_step_count(self, pinned_instance, pinned_master,
-                                          pinned_fresh_plane):
+    def test_pinned_short_loop_step_count(self, monkeypatch, pinned_instance,
+                                          pinned_master, pinned_fresh_plane):
         # an Euler predictor takes 208 accepted steps on these legs, the
-        # cubic one 117
+        # cubic one 117.  With the tangent taken from the last Newton
+        # solve and a values-only residual check the legs make 209
+        # evaluations with derivatives and 209 linear solves; a round
+        # that re-evaluates the accepted point and solves for its
+        # tangent makes 274 and 272
         loop = make_loop(pinned_instance, "short", Lcg64(0),
                          fresh_plane=pinned_fresh_plane)
+        calls = {"evaluate": 0, "solve": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(StackedSystem, "values_and_jacobian_many",
+                            counted("evaluate", StackedSystem.values_and_jacobian_many))
+        monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
         points, steps = list(pinned_master.solutions), 0
         for leg in loop.legs:
             results = track_many(leg, points)
             assert all(r.success for r in results)
             steps += sum(r.steps for r in results)
             points = [r.endpoint for r in results]
-        assert steps <= 150
+        assert steps == 117
+        assert calls["evaluate"] <= 230
+        assert calls["solve"] <= 230
+
+
+class TestNewton:
+    def test_converging_iteration_gives_the_tangent(self):
+        # with gamma = 1 the root moves as x(t) = 3t - 1, so dx/dt = 3;
+        # the first start lies on the path and converges in the first
+        # iteration, the second in the next
+        h = line_homotopy([1.0, -1.0], [1.0, 2.0])
+        xn = np.array([[0.5 + 0j], [40.0 + 0j]])
+        tn = np.array([0.5, 0.5])
+        conv, tangent = _newton_many(h, xn, tn, TrackOptions(max_newton_iters=3))
+        assert list(conv) == [True, True]
+        assert np.allclose(xn[:, 0], 0.5, rtol=0, atol=1e-12)
+        assert np.allclose(tangent[:, 0], 3.0, rtol=0, atol=1e-12)
+        conv, _ = _newton_many(h, np.array([[1e8 + 0j]]), tn[:1],
+                               TrackOptions(max_newton_iters=1))
+        assert not conv[0]
 
 
 class TestRefine:
@@ -297,15 +332,19 @@ class TestSolveBatch:
     def test_flags_singular_and_non_finite_members(self):
         # an exactly singular member makes the batched solve raise and
         # fall back to one solve per member; a non-finite right-hand side
-        # solves without raising but gives a non-finite solution
-        for singular in (False, True):
+        # solves without raising but gives a non-finite solution.  The
+        # right-hand side is one vector or, as in a Newton iteration, two
+        # columns per member
+        for singular, columns in ((s, c) for s in (False, True) for c in ((), (2,))):
             gen = Lcg64(2)
             a = np.array([gen.complex_matrix(3, 3) for _ in range(4)])
-            b = np.array([gen.complex_matrix(1, 3)[0] for _ in range(4)])
+            b = np.array([gen.complex_matrix(3, *columns) if columns
+                          else gen.complex_matrix(1, 3)[0] for _ in range(4)])
             b[3, 0] = np.inf
             if singular:
                 a[1, :, 0] = 0.0
             x, bad = _solve_batch(a, b)
+            assert x.shape == b.shape
             assert list(bad) == [False, singular, False, True]
             for i in np.flatnonzero(~bad):
                 assert np.array_equal(x[i], np.linalg.solve(a[i], b[i]))
@@ -373,6 +412,11 @@ class TestOptions:
             TrackOptions(endpoint_tol=0.0)
         with pytest.raises(ValueError):
             TrackOptions(expand_after=0)
+        # integer fields take integers only
+        for bad in ({"max_newton_iters": float("inf")}, {"max_newton_iters": 2.0},
+                    {"max_newton_iters": True}, {"expand_after": 2.5}):
+            with pytest.raises(ValueError):
+                TrackOptions(**bad)
         for name in ("newton_tol", "initial_dt", "min_dt", "max_dt",
                      "residual_tol", "endpoint_tol"):
             for bad in (float("nan"), float("inf")):
