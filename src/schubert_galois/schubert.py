@@ -237,6 +237,9 @@ class ProblemInstance:
         for g in self.planes:
             if g.shape != (q, n):
                 raise ValueError(f"plane shape {g.shape}, expected ({q}, {n})")
+            # before the rank test, whose comparisons NaN would pass
+            if not np.isfinite(g).all():
+                raise ValueError("plane has a non-finite entry")
             pivots = linalg.echelon_pivots(g)
             amax = float(np.max(np.abs(g)))
             if len(pivots) < q or pivots.min() <= FULL_RANK_REL_TOL * amax:

@@ -11,16 +11,24 @@ the discriminant; a fresh draw retries an unlucky path.
 Each step predicts by cubic Hermite extrapolation from the path's
 previous and current points and their tangents dx/dt = -H_x^-1 H_t,
 then corrects with Newton's method at the advanced t.  Every Newton
-iteration solves for its correction and the tangent together, so the
-iteration that converges also hands the path its next tangent, and the
-residual check at the corrected point needs values only.  An accepted
-step thus costs one evaluation with derivatives and one linear solve
-per Newton iteration, plus one values-only evaluation.
+iteration solves for its correction and the tangent together: the
+homotopy hands it H_x and the two right-hand sides [-H, -H_t] in one
+array (LinearHomotopy.newton_system_many), so the iteration that
+converges also hands the path its next tangent, and the residual check
+at the corrected point needs values only.  An accepted step thus costs
+one evaluation with derivatives and one linear solve per Newton
+iteration, plus one values-only evaluation.
 
 Paths of one homotopy never interact, so track_many advances any number
 of them together and batches all linear algebra across the live ones;
 step control (dt halving and doubling, Newton acceptance) stays
-per-path and matches tracking the paths one at a time.
+per-path and matches tracking the paths one at a time.  At the sizes
+tracked here a batch holds a few paths, so the work around the
+arithmetic sets the time: the linear solves call LAPACK's batched gufunc
+directly, which flags a singular member as NaN instead of raising, and
+track_many keeps the live paths' state in compact arrays, replaced whole
+when every path accepts and compacted only in a round where a path
+leaves.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .rng import Lcg64
 from .schubert import SkewChart, StackedSystem
@@ -190,41 +199,44 @@ class LinearHomotopy:
         vals[:, -2] = (1.0 - ts) * vals[:, -2] + (self.gamma * ts) * vals[:, -1]
         return vals[:, :-1]
 
-    def evaluate_many(self, xs, ts):
-        """Batched H, Jacobian H_x and t-derivative H_t.
+    def newton_system_many(self, xs, ts) -> tuple[np.ndarray, np.ndarray]:
+        """Newton's batched system at (xs, ts): the Jacobian H_x, shape
+        (p, num_vars, num_vars), and the right-hand side [-H, -H_t] as two
+        columns, shape (p, num_vars, 2).
 
         The moving equation is blended in place over the start plane's
-        row; H_t, zero but in that equation, takes the target plane's
-        Jacobian row once the blend has read it.
+        row of the Jacobian; H_t is zero but in that equation.  Both
+        columns are negated in place, which is exact.
         """
         vals, jac = self._system.values_and_jacobian_many(xs)
         w0 = 1.0 - ts
         w1 = self.gamma * ts
         jac[:, -2] = w0[:, None] * jac[:, -2] + w1[:, None] * jac[:, -1]
-        ht = jac[:, -1]
-        ht[:, :-1] = 0.0
-        ht[:, -1] = -vals[:, -2] + self.gamma * vals[:, -1]
-        vals[:, -2] = w0 * vals[:, -2] + w1 * vals[:, -1]
-        return vals[:, :-1], jac[:, :-1], ht
+        p, num_planes = vals.shape
+        v0, v1 = vals[:, -2], vals[:, -1]
+        rhs = np.empty((p, num_planes - 1, 2), dtype=complex)
+        rhs[:, :-1, 0] = vals[:, :-2]
+        rhs[:, -1, 0] = w0 * v0 + w1 * v1
+        rhs[:, :-1, 1] = 0.0
+        rhs[:, -1, 1] = -v0 + self.gamma * v1
+        np.negative(rhs, out=rhs)
+        return jac[:, :-1], rhs
 
 
 def _solve_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a[i] x[i] = b[i] for a batch, each b[i] a vector or a matrix
-    of columns; flags exactly singular members and members with a
-    non-finite solution instead of raising."""
-    vector = b.ndim < a.ndim
-    rhs = b[..., None] if vector else b
-    try:
-        x = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:
-        x = np.zeros_like(rhs)
-        for i in range(len(b)):
-            try:
-                x[i] = np.linalg.solve(a[i], rhs[i])
-            except np.linalg.LinAlgError:
-                x[i] = np.nan
-    if vector:
-        x = x[..., 0]
+    """Solve a[i] x[i] = b[i] for a batch of complex systems, each b[i] a
+    matrix of columns; flags exactly singular members and members with a
+    non-finite solution instead of raising.
+
+    This is the LAPACK gufunc np.linalg.solve calls, without its
+    argument handling.  A singular member comes back as NaN and raises
+    the invalid flag.  np.linalg.solve ignores the other floating-point
+    flags but turns that one into LinAlgError for the whole batch; here
+    all four are ignored and the finiteness test flags that member
+    alone.
+    """
+    with np.errstate(all="ignore"):
+        x = _umath_linalg.solve(a, b, signature="DD->D")
     return x, ~np.isfinite(x.reshape(len(x), -1)).all(axis=1)
 
 
@@ -262,11 +274,7 @@ def _newton_many(h: LinearHomotopy, xn: np.ndarray, tn: np.ndarray,
     for _ in range(opts.max_newton_iters):
         if len(ia) == 0:
             break
-        hv, hx, ht = h.evaluate_many(x, t)
-        rhs = np.empty(hv.shape + (2,), dtype=complex)
-        np.negative(hv, out=rhs[..., 0])
-        np.negative(ht, out=rhs[..., 1])
-        step, sing = _solve_batch(hx, rhs)
+        step, sing = _solve_batch(*h.newton_system_many(x, t))
         if sing.any():
             ok = ~sing
             ia, x, t, prev, grew, step = ia[ok], x[ok], t[ok], prev[ok], grew[ok], step[ok]
@@ -283,6 +291,8 @@ def _newton_many(h: LinearHomotopy, xn: np.ndarray, tn: np.ndarray,
         conv[done] = True
         xn[done] = x[just_conv]
         tangent[done] = step[just_conv, :, 1]
+        if not going.any():
+            break
         ia, x, t, prev, grew = ia[going], x[going], t[going], nd[going], grew[going]
     return conv, tangent
 
@@ -301,13 +311,13 @@ def refine_many(h: LinearHomotopy, xs, t: float, tol: float,
         ia = np.flatnonzero(act)
         if len(ia) == 0:
             break
-        hv, hx, _ = h.evaluate_many(x[ia], ts[ia])
-        delta, sing = _solve_batch(hx, -hv)
+        hx, rhs = h.newton_system_many(x[ia], ts[ia])
+        delta, sing = _solve_batch(hx, rhs[..., :1])
         act[ia[sing]] = False
         good = ia[~sing]
         if len(good) == 0:
             break
-        d = delta[~sing]
+        d = delta[~sing, :, 0]
         x[good] += d
         res = _residual_many(h, x[good], ts[good])
         imp = res < best_res[good]
@@ -353,65 +363,83 @@ def track_many(h: LinearHomotopy, starts, opts: TrackOptions | None = None,
     round evaluates and solves nothing else.  Endpoints are polished to
     endpoint_tol and must leave residual below residual_tol.  All paths
     advance together with the linear algebra and the step control
-    batched across them.
+    batched across them, over compact arrays of the live paths' state:
+    a round in which every path accepts replaces them whole, any other
+    updates them through masks, and only a round in which a path
+    reaches t = 1 or underflows gathers the rest into smaller arrays.
     """
     opts = opts or TrackOptions()
     p = len(starts)
     if p == 0:
         return []
+    # each path's final point, t and step count, written when it leaves
     X = np.array([np.asarray(s, dtype=complex) for s in starts])
-    t = np.zeros(p)
-    dt = np.full(p, opts.initial_dt)
-    streak = np.zeros(p, dtype=int)
-    steps = np.zeros(p, dtype=int)
+    t_end = np.zeros(p)
+    steps_end = np.zeros(p, dtype=int)
     running = np.ones(p, dtype=bool)
     status = np.full(p, None, dtype=object)
     traces = [[(0.0, X[i].copy())] for i in range(p)] if record_trace else None
-    # each path's tangent dx/dt at its current point
-    _, hx, ht = h.evaluate_many(X, t)
-    V, sing = _solve_batch(hx, -ht)
+    # each path's tangent dx/dt at its start
+    hx, rhs = h.newton_system_many(X, np.zeros(p))
+    V, sing = _solve_batch(hx, rhs[..., 1:])
     status[sing] = TrackStatus.SINGULAR
     running[sing] = False
-    # each path's previous accepted point, its tangent and its t; set
-    # once the path has taken a step
-    Xp, Vp, tp = np.empty_like(X), np.empty_like(X), np.zeros(p)
 
-    while True:
-        idx = np.flatnonzero(running & (t < 1.0 - 1e-14))
-        if len(idx) == 0:
-            break
-        dt_eff = np.minimum(dt[idx], 1.0 - t[idx])
-        xn = X[idx] + dt_eff[:, None] * V[idx]
-        hi = np.flatnonzero(steps[idx])
-        if len(hi):
-            j = idx[hi]
-            xn[hi] = _hermite_predict(Xp[j], Vp[j], X[j], V[j], t[j] - tp[j], dt_eff[hi])
-        tn = t[idx] + dt_eff
+    # the live paths only, in input order: index, point, tangent, t, dt,
+    # accepted-step streak and step count, and the previous accepted
+    # point, its tangent and its t (set once the path has taken a step)
+    ids = np.flatnonzero(running)
+    n_live = len(ids)
+    x, v = X[ids], V[ids, :, 0]
+    t, dt = np.zeros(n_live), np.full(n_live, opts.initial_dt)
+    streak, steps = np.zeros(n_live, dtype=int), np.zeros(n_live, dtype=int)
+    xp, vp, tp = np.empty_like(x), np.empty_like(x), np.zeros(n_live)
+    while len(ids):
+        dt_eff = np.minimum(dt, 1.0 - t)
+        if steps.all():
+            xn = _hermite_predict(xp, vp, x, v, t - tp, dt_eff)
+        else:
+            xn = x + dt_eff[:, None] * v
+            hi = np.flatnonzero(steps)
+            if len(hi):
+                xn[hi] = _hermite_predict(xp[hi], vp[hi], x[hi], v[hi],
+                                          t[hi] - tp[hi], dt_eff[hi])
+        tn = t + dt_eff
         accept, vn = _newton_many(h, xn, tn, opts)
-        conv = np.flatnonzero(accept)
-        if len(conv):
-            accept[conv] = _residual_many(h, xn[conv], tn[conv]) < opts.residual_tol
-        acc, rej = idx[accept], idx[~accept]
-        Xp[acc] = X[acc]
-        Vp[acc] = V[acc]
-        tp[acc] = t[acc]
-        X[acc] = xn[accept]
-        V[acc] = vn[accept]
-        t[acc] = tn[accept]
-        steps[acc] += 1
-        streak[acc] += 1
-        grow = acc[streak[acc] >= opts.expand_after]
-        dt[grow] = np.minimum(2.0 * dt[grow], opts.max_dt)
-        streak[grow] = 0
-        if len(rej):
-            streak[rej] = 0
-            dt[rej] *= 0.5
-            under = rej[dt[rej] < opts.min_dt]
-            status[under] = TrackStatus.STEP_UNDERFLOW
-            running[under] = False
+        if accept.all():
+            accept = _residual_many(h, xn, tn) < opts.residual_tol
+        else:
+            conv = np.flatnonzero(accept)
+            if len(conv):
+                accept[conv] = _residual_many(h, xn[conv], tn[conv]) < opts.residual_tol
+        if accept.all():
+            xp, vp, tp, x, v, t = x, v, t, xn, vn, tn
+            steps += 1
+            streak += 1
+            keep = t < 1.0 - 1e-14
+        else:
+            xp[accept], vp[accept], tp[accept] = x[accept], v[accept], t[accept]
+            x[accept], v[accept], t[accept] = xn[accept], vn[accept], tn[accept]
+            steps[accept] += 1
+            streak = np.where(accept, streak + 1, 0)
+            dt[~accept] *= 0.5
+            under = ~accept & (dt < opts.min_dt)
+            keep = (t < 1.0 - 1e-14) & ~under
+            status[ids[under]] = TrackStatus.STEP_UNDERFLOW
+            running[ids[under]] = False
+        grow = streak >= opts.expand_after
+        if grow.any():
+            dt[grow] = np.minimum(2.0 * dt[grow], opts.max_dt)
+            streak[grow] = 0
         if traces is not None:
-            for i in acc:
-                traces[i].append((float(t[i]), X[i].copy()))
+            for j in np.flatnonzero(accept):
+                traces[ids[j]].append((float(t[j]), x[j].copy()))
+        if not keep.all():
+            out = ~keep
+            X[ids[out]], t_end[ids[out]], steps_end[ids[out]] = x[out], t[out], steps[out]
+            ids, x, v, t, dt = ids[keep], x[keep], v[keep], t[keep], dt[keep]
+            streak, steps = streak[keep], steps[keep]
+            xp, vp, tp = xp[keep], vp[keep], tp[keep]
 
     results: list[PathResult | None] = [None] * p
     fin = np.flatnonzero(running)
@@ -422,20 +450,20 @@ def track_many(h: LinearHomotopy, starts, opts: TrackOptions | None = None,
             if res[j] >= opts.residual_tol:
                 results[i] = PathResult(
                     TrackStatus.NEWTON_DIVERGENCE, None, 1.0, float(res[j]),
-                    int(steps[i]), tr,
+                    int(steps_end[i]), tr,
                 )
             else:
                 if tr is not None:
                     tr.append((1.0, polished[j].copy()))
                 results[i] = PathResult(
                     TrackStatus.SUCCESS, polished[j], 1.0, float(res[j]),
-                    int(steps[i]), tr,
+                    int(steps_end[i]), tr,
                 )
     for i in range(p):
         if results[i] is None:
             tr = traces[i] if traces is not None else None
-            results[i] = PathResult(status[i], None, float(t[i]), np.inf,
-                                    int(steps[i]), tr)
+            results[i] = PathResult(status[i], None, float(t_end[i]), np.inf,
+                                    int(steps_end[i]), tr)
     return results
 
 

@@ -126,6 +126,18 @@ class TestBadInput:
         code, _ = run(["solve", spec, "--planes", path, "--out", tmp_path], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity", "[0, -Infinity]"])
+    def test_non_finite_plane_entry(self, tmp_path, capsys, pinned_planes_file, entry):
+        # JSON as Python reads it takes NaN and Infinity literals
+        text = pinned_planes_file.read_text().replace("[17, 15]", entry, 1)
+        assert entry in text
+        path = tmp_path / "planes.json"
+        path.write_text(text)
+        spec = write_spec(tmp_path, k=2, n=4, **{"lambda": "box", "mu": "box"})
+        code = cli.main(["solve", str(spec), "--planes", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_unknown_flag_is_an_argparse_error(self, tmp_path):
         spec = write_spec(tmp_path, k=2, n=4)
         with pytest.raises(SystemExit):

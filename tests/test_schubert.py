@@ -361,3 +361,10 @@ class TestInstances:
         degenerate = np.vstack([good.planes[0][0], good.planes[0][0]])
         with pytest.raises(ValueError):
             ProblemInstance(p, (degenerate, good.planes[1]), 1)
+        # every rank comparison with NaN is False, so the entries are
+        # checked first
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            plane = good.planes[0].copy()
+            plane[1, 2] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                ProblemInstance(p, (good.planes[0], plane), 1)

@@ -46,13 +46,22 @@ def residual(h, x, t):
     return float(np.max(np.abs(h.values_many(*at(x, t)))))
 
 
+def counted(calls, name, fn):
+    """fn, adding one to calls[name] on every call."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 class TestLinearHomotopy:
     def test_values_and_derivatives(self):
         # H = (1-t)(-1 - x) + gamma t (2 - x)
         h = line_homotopy([1.0, -1.0], [1.0, 2.0])
         assert h.values_many(*at([-1.0], 0.0))[0, 0] == pytest.approx(0.0)
         assert h.values_many(*at([2.0], 1.0))[0, 0] == pytest.approx(0.0)
-        hv, hx, ht = h.evaluate_many(*at([0.5], 0.5))
+        hx, rhs = h.newton_system_many(*at([0.5], 0.5))
+        hv, ht = -rhs[..., 0], -rhs[..., 1]
         assert hv[0, 0] == pytest.approx(0.5 * (-1.5) + 0.5 * 1.5)
         assert hx[0, 0, 0] == pytest.approx(-1.0)
         assert ht[0, 0] == pytest.approx(1.5 + 1.5)  # -f_start + f_target
@@ -62,7 +71,8 @@ class TestLinearHomotopy:
         g = fresh_gamma(gen)
         h = line_homotopy([1.0 + 1j, -2.0], [0.5j, 2.0], g)
         x = np.array([0.3 - 0.2j])
-        _, _, ht = h.evaluate_many(*at(x, 0.4))
+        _, rhs = h.newton_system_many(*at(x, 0.4))
+        ht = -rhs[..., 1]
         eps = 1e-7
         fd = (h.values_many(*at(x, 0.4 + eps)) - h.values_many(*at(x, 0.4 - eps))) / (2 * eps)
         assert abs(ht[0, 0] - fd[0, 0]) < 1e-6
@@ -153,12 +163,17 @@ class TestBatching:
         # far from both roots of the start system, so no correction
         # converges and the path halves its step down to the floor
         lost = np.array([5 + 5j, -7j])
+        # the lost path leaves the batch first, last or in the middle, and
+        # a start given twice leaves in the same round as its copy
         for starts, success in (([a, b], [True, True]),
-                                ([a, lost, b], [True, False, True])):
-            together = track_many(h, starts)
+                                ([a, lost, b], [True, False, True]),
+                                ([lost, a, b], [False, True, True]),
+                                ([a, b, a], [True, True, True]),
+                                ([lost, b, lost, b], [False, True, False, True])):
+            together = track_many(h, starts, record_trace=True)
             assert [r.success for r in together] == success
             for start, batched in zip(starts, together):
-                [alone] = track_many(h, [start])
+                [alone] = track_many(h, [start], record_trace=True)
                 assert alone.status is batched.status
                 assert alone.steps == batched.steps
                 assert alone.t_reached == batched.t_reached
@@ -167,6 +182,10 @@ class TestBatching:
                     assert np.array_equal(alone.endpoint, batched.endpoint)
                 else:
                     assert alone.endpoint is None and batched.endpoint is None
+                assert len(alone.trace) == len(batched.trace)
+                for (ta, xa), (tb, xb) in zip(alone.trace, batched.trace):
+                    assert ta == tb
+                    assert np.array_equal(xa, xb)
 
     def test_track_many_empty(self):
         h = line_homotopy([1, -1], [1, 2])
@@ -207,20 +226,14 @@ class TestHermitePredictor:
         # solve and a values-only residual check the legs make 209
         # evaluations with derivatives and 209 linear solves; a round
         # that re-evaluates the accepted point and solves for its
-        # tangent makes 274 and 272
+        # tangent makes 274 and 272.  The tracker's solves no longer go
+        # through np.linalg.solve; the next test counts them
         loop = make_loop(pinned_instance, "short", Lcg64(0),
                          fresh_plane=pinned_fresh_plane)
         calls = {"evaluate": 0, "solve": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
         monkeypatch.setattr(StackedSystem, "values_and_jacobian_many",
-                            counted("evaluate", StackedSystem.values_and_jacobian_many))
-        monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+                            counted(calls, "evaluate", StackedSystem.values_and_jacobian_many))
+        monkeypatch.setattr(np.linalg, "solve", counted(calls, "solve", np.linalg.solve))
         points, steps = list(pinned_master.solutions), 0
         for leg in loop.legs:
             results = track_many(leg, points)
@@ -230,6 +243,21 @@ class TestHermitePredictor:
         assert steps == 117
         assert calls["evaluate"] <= 230
         assert calls["solve"] <= 230
+
+    def test_pinned_short_loop_solves_once_per_evaluation(self, monkeypatch, pinned_instance,
+                                                          pinned_master, pinned_fresh_plane):
+        # the batched solve calls LAPACK without np.linalg.solve, so it is
+        # counted here: each evaluation with derivatives feeds one solve
+        loop = make_loop(pinned_instance, "short", Lcg64(0),
+                         fresh_plane=pinned_fresh_plane)
+        calls = {"evaluate": 0, "solve": 0}
+        monkeypatch.setattr(StackedSystem, "values_and_jacobian_many",
+                            counted(calls, "evaluate", StackedSystem.values_and_jacobian_many))
+        monkeypatch.setattr(tracker, "_solve_batch", counted(calls, "solve", tracker._solve_batch))
+        points = list(pinned_master.solutions)
+        for leg in loop.legs:
+            points = [r.endpoint for r in track_many(leg, points)]
+        assert 0 < calls["solve"] == calls["evaluate"] <= 230
 
 
 class TestNewton:
@@ -323,23 +351,22 @@ class TestSolveBatch:
     def test_matches_reference(self):
         gen = Lcg64(1)
         a = np.array([gen.complex_matrix(5, 5) for _ in range(3)])
-        b = np.array([gen.complex_matrix(1, 5)[0] for _ in range(3)])
+        b = np.array([gen.complex_matrix(5, 1) for _ in range(3)])
         x, bad = _solve_batch(a, b)
         assert not bad.any()
         for i in range(3):
             assert np.allclose(a[i] @ x[i], b[i], atol=1e-10)
 
     def test_flags_singular_and_non_finite_members(self):
-        # an exactly singular member makes the batched solve raise and
-        # fall back to one solve per member; a non-finite right-hand side
-        # solves without raising but gives a non-finite solution.  The
-        # right-hand side is one vector or, as in a Newton iteration, two
-        # columns per member
-        for singular, columns in ((s, c) for s in (False, True) for c in ((), (2,))):
+        # LAPACK gives NaN for an exactly singular member and solves every
+        # other member as if alone, so the batch needs no per-member
+        # retry; a non-finite right-hand side also gives a non-finite
+        # solution.  The right-hand side has one column, as for a tangent
+        # or a refinement step, or two, as in a Newton iteration
+        for singular, columns in ((s, c) for s in (False, True) for c in (1, 2)):
             gen = Lcg64(2)
             a = np.array([gen.complex_matrix(3, 3) for _ in range(4)])
-            b = np.array([gen.complex_matrix(3, *columns) if columns
-                          else gen.complex_matrix(1, 3)[0] for _ in range(4)])
+            b = np.array([gen.complex_matrix(3, columns) for _ in range(4)])
             b[3, 0] = np.inf
             if singular:
                 a[1, :, 0] = 0.0
@@ -348,6 +375,15 @@ class TestSolveBatch:
             assert list(bad) == [False, singular, False, True]
             for i in np.flatnonzero(~bad):
                 assert np.array_equal(x[i], np.linalg.solve(a[i], b[i]))
+
+    def test_every_member_singular(self):
+        # flagged member by member, with no exception and no warning
+        a = np.zeros((3, 2, 2), dtype=complex)
+        a[1, 0, 0] = a[2, 1, 1] = 1.0
+        b = np.ones((3, 2, 2), dtype=complex)
+        x, bad = _solve_batch(a, b)
+        assert x.shape == b.shape
+        assert bad.all()
 
 
 class TestNeighbourSearch:
