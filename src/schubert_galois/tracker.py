@@ -229,11 +229,12 @@ def _solve_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     non-finite solution instead of raising.
 
     This is the LAPACK gufunc np.linalg.solve calls, without its
-    argument handling.  A singular member comes back as NaN and raises
-    the invalid flag.  np.linalg.solve ignores the other floating-point
-    flags but turns that one into LinAlgError for the whole batch; here
-    all four are ignored and the finiteness test flags that member
-    alone.
+    argument handling; the gufunc is private to numpy, so pyproject.toml
+    bounds numpy to the major version checked.  A singular member comes
+    back as NaN and raises the invalid flag.  np.linalg.solve ignores the
+    other floating-point flags but turns that one into LinAlgError for
+    the whole batch; here all four are ignored and the finiteness test
+    flags that member alone.
     """
     with np.errstate(all="ignore"):
         x = _umath_linalg.solve(a, b, signature="DD->D")
@@ -291,8 +292,6 @@ def _newton_many(h: LinearHomotopy, xn: np.ndarray, tn: np.ndarray,
         conv[done] = True
         xn[done] = x[just_conv]
         tangent[done] = step[just_conv, :, 1]
-        if not going.any():
-            break
         ia, x, t, prev, grew = ia[going], x[going], t[going], nd[going], grew[going]
     return conv, tangent
 
@@ -387,31 +386,26 @@ def track_many(h: LinearHomotopy, starts, opts: TrackOptions | None = None,
 
     # the live paths only, in input order: index, point, tangent, t, dt,
     # accepted-step streak and step count, and the previous accepted
-    # point, its tangent and its t (set once the path has taken a step)
+    # point, its tangent and its t.  Until a path has taken a step its
+    # previous point is a finite stand-in (its start, one unit of t back)
+    # that only feeds a cubic prediction the Euler one replaces
     ids = np.flatnonzero(running)
     n_live = len(ids)
     x, v = X[ids], V[ids, :, 0]
     t, dt = np.zeros(n_live), np.full(n_live, opts.initial_dt)
     streak, steps = np.zeros(n_live, dtype=int), np.zeros(n_live, dtype=int)
-    xp, vp, tp = np.empty_like(x), np.empty_like(x), np.zeros(n_live)
+    xp, vp, tp = x.copy(), v.copy(), np.full(n_live, -1.0)
     while len(ids):
         dt_eff = np.minimum(dt, 1.0 - t)
-        if steps.all():
-            xn = _hermite_predict(xp, vp, x, v, t - tp, dt_eff)
-        else:
-            xn = x + dt_eff[:, None] * v
-            hi = np.flatnonzero(steps)
-            if len(hi):
-                xn[hi] = _hermite_predict(xp[hi], vp[hi], x[hi], v[hi],
-                                          t[hi] - tp[hi], dt_eff[hi])
+        xn = np.where((steps > 0)[:, None], _hermite_predict(xp, vp, x, v, t - tp, dt_eff),
+                      x + dt_eff[:, None] * v)
         tn = t + dt_eff
         accept, vn = _newton_many(h, xn, tn, opts)
-        if accept.all():
-            accept = _residual_many(h, xn, tn) < opts.residual_tol
-        else:
-            conv = np.flatnonzero(accept)
-            if len(conv):
-                accept[conv] = _residual_many(h, xn[conv], tn[conv]) < opts.residual_tol
+        conv = np.flatnonzero(accept)
+        if len(conv):
+            accept[conv] = _residual_many(h, xn[conv], tn[conv]) < opts.residual_tol
+        # every path accepts in about four rounds of five on the d = 5
+        # benchmark problems, where the masked update costs 4% more
         if accept.all():
             xp, vp, tp, x, v, t = x, v, t, xn, vn, tn
             steps += 1

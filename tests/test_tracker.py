@@ -226,14 +226,17 @@ class TestHermitePredictor:
         # solve and a values-only residual check the legs make 209
         # evaluations with derivatives and 209 linear solves; a round
         # that re-evaluates the accepted point and solves for its
-        # tangent makes 274 and 272.  The tracker's solves no longer go
-        # through np.linalg.solve; the next test counts them
+        # tangent makes 274 and 272.  The tracker's solves call LAPACK
+        # without np.linalg.solve, so _solve_batch is counted as well:
+        # each evaluation with derivatives feeds one solve
         loop = make_loop(pinned_instance, "short", Lcg64(0),
                          fresh_plane=pinned_fresh_plane)
-        calls = {"evaluate": 0, "solve": 0}
+        calls = {"evaluate": 0, "solve": 0, "batch_solve": 0}
         monkeypatch.setattr(StackedSystem, "values_and_jacobian_many",
                             counted(calls, "evaluate", StackedSystem.values_and_jacobian_many))
         monkeypatch.setattr(np.linalg, "solve", counted(calls, "solve", np.linalg.solve))
+        monkeypatch.setattr(tracker, "_solve_batch",
+                            counted(calls, "batch_solve", tracker._solve_batch))
         points, steps = list(pinned_master.solutions), 0
         for leg in loop.legs:
             results = track_many(leg, points)
@@ -243,21 +246,7 @@ class TestHermitePredictor:
         assert steps == 117
         assert calls["evaluate"] <= 230
         assert calls["solve"] <= 230
-
-    def test_pinned_short_loop_solves_once_per_evaluation(self, monkeypatch, pinned_instance,
-                                                          pinned_master, pinned_fresh_plane):
-        # the batched solve calls LAPACK without np.linalg.solve, so it is
-        # counted here: each evaluation with derivatives feeds one solve
-        loop = make_loop(pinned_instance, "short", Lcg64(0),
-                         fresh_plane=pinned_fresh_plane)
-        calls = {"evaluate": 0, "solve": 0}
-        monkeypatch.setattr(StackedSystem, "values_and_jacobian_many",
-                            counted(calls, "evaluate", StackedSystem.values_and_jacobian_many))
-        monkeypatch.setattr(tracker, "_solve_batch", counted(calls, "solve", tracker._solve_batch))
-        points = list(pinned_master.solutions)
-        for leg in loop.legs:
-            points = [r.endpoint for r in track_many(leg, points)]
-        assert 0 < calls["solve"] == calls["evaluate"] <= 230
+        assert calls["batch_solve"] == calls["evaluate"]
 
 
 class TestNewton:
